@@ -9,6 +9,7 @@
 // with 8 cores, switch kCostModel to kSpin to see CPU-bound speed-ups).
 #include <benchmark/benchmark.h>
 
+#include "gtpar/engine/work_stealing.hpp"
 #include "gtpar/threads/mt_ab.hpp"
 #include "gtpar/threads/mt_solve.hpp"
 #include "gtpar/tree/generators.hpp"
@@ -33,24 +34,28 @@ const Tree& ab_tree() {
 
 void BM_SequentialSolve(benchmark::State& state) {
   const Tree& t = solve_tree();
+  MtSolveOptions opt;
+  opt.leaf_cost_ns = kLeafNs;
+  opt.cost_model = kCostModel;
+  std::uint64_t leaves = 0;
   for (auto _ : state) {
-    auto r = mt_sequential_solve(t, kLeafNs, kCostModel);
+    auto r = mt_sequential_solve(t, opt);
     benchmark::DoNotOptimize(r.value);
+    leaves = r.leaf_evaluations;
   }
-  state.counters["leaves"] =
-      static_cast<double>(mt_sequential_solve(t, 0).leaf_evaluations);
+  state.counters["leaves"] = static_cast<double>(leaves);
 }
 BENCHMARK(BM_SequentialSolve)->Unit(benchmark::kMillisecond)->MinTime(0.4);
 
 void BM_ParallelSolve(benchmark::State& state) {
   const Tree& t = solve_tree();
+  WorkStealingPool pool(static_cast<unsigned>(state.range(0)));
   MtSolveOptions opt;
-  opt.threads = static_cast<unsigned>(state.range(0));
   opt.leaf_cost_ns = kLeafNs;
   opt.cost_model = kCostModel;
   std::uint64_t leaves = 0;
   for (auto _ : state) {
-    auto r = mt_parallel_solve(t, opt);
+    auto r = mt_parallel_solve(t, opt, pool);
     benchmark::DoNotOptimize(r.value);
     leaves = r.leaf_evaluations;
   }
@@ -67,8 +72,11 @@ BENCHMARK(BM_ParallelSolve)
 
 void BM_SequentialAlphaBeta(benchmark::State& state) {
   const Tree& t = ab_tree();
+  MtAbOptions opt;
+  opt.leaf_cost_ns = kLeafNs;
+  opt.cost_model = kCostModel;
   for (auto _ : state) {
-    auto r = mt_sequential_ab(t, kLeafNs, kCostModel);
+    auto r = mt_sequential_ab(t, opt);
     benchmark::DoNotOptimize(r.value);
   }
 }
@@ -76,12 +84,12 @@ BENCHMARK(BM_SequentialAlphaBeta)->Unit(benchmark::kMillisecond)->MinTime(0.4);
 
 void BM_ParallelAlphaBeta(benchmark::State& state) {
   const Tree& t = ab_tree();
+  WorkStealingPool pool(static_cast<unsigned>(state.range(0)));
   MtAbOptions opt;
-  opt.threads = static_cast<unsigned>(state.range(0));
   opt.leaf_cost_ns = kLeafNs;
   opt.cost_model = kCostModel;
   for (auto _ : state) {
-    auto r = mt_parallel_ab(t, opt);
+    auto r = mt_parallel_ab(t, opt, pool);
     benchmark::DoNotOptimize(r.value);
   }
 }

@@ -5,6 +5,7 @@
 // the wall-clock speed-up near 2x regardless of thread count.
 #include "bench/bench_util.hpp"
 
+#include "gtpar/engine/work_stealing.hpp"
 #include "gtpar/threads/mt_ab.hpp"
 #include "gtpar/tree/generators.hpp"
 
@@ -17,7 +18,10 @@ int main() {
   const Tree t = make_worst_case_minimax(2, 10);
   const std::uint64_t kLeafNs = 100'000;
 
-  const auto seq = mt_sequential_ab(t, kLeafNs, LeafCostModel::kSleep);
+  MtAbOptions opt;
+  opt.leaf_cost_ns = kLeafNs;
+  opt.cost_model = LeafCostModel::kSleep;
+  const auto seq = mt_sequential_ab(t, opt);
   std::printf("sequential baseline: %.1f ms (%llu leaves)\n\n",
               double(seq.wall_ns) / 1e6,
               static_cast<unsigned long long>(seq.leaf_evaluations));
@@ -25,16 +29,15 @@ int main() {
   bench::Table table({"threads", "promotion ON (ms)", "speed-up", "promotion OFF (ms)",
                       "speed-up"});
   for (unsigned threads : {1u, 2u, 4u, 8u}) {
+    WorkStealingPool pool(threads);
     double best_on = 1e30, best_off = 1e30;
     for (int rep = 0; rep < 3; ++rep) {
-      MtAbOptions opt;
-      opt.threads = threads;
-      opt.leaf_cost_ns = kLeafNs;
-      opt.cost_model = LeafCostModel::kSleep;
       opt.promotion = true;
-      best_on = std::min(best_on, double(mt_parallel_ab(t, opt).wall_ns) / 1e6);
+      best_on = std::min(best_on,
+                         double(mt_parallel_ab(t, opt, pool).wall_ns) / 1e6);
       opt.promotion = false;
-      best_off = std::min(best_off, double(mt_parallel_ab(t, opt).wall_ns) / 1e6);
+      best_off = std::min(best_off,
+                          double(mt_parallel_ab(t, opt, pool).wall_ns) / 1e6);
     }
     table.row({bench::fmt(threads), bench::fmt(best_on, 1),
                bench::fmt(double(seq.wall_ns) / 1e6 / best_on),

@@ -11,13 +11,8 @@
 //                 leaf-cost regimes:
 //
 //                 * zero leaf cost (spin): the scheduler itself is the
-//                   bottleneck. Timed three ways per worker count — the
-//                   work-stealing engine, the same engine on the legacy
-//                   global-queue pool (scheduler ablation), and the
-//                   pre-engine architecture (one fresh ThreadPool per
-//                   request, one request at a time). Shared TT off so the
-//                   comparison against the TT-less legacy path is
-//                   apples-to-apples.
+//                   bottleneck. Work-stealing engine at workers 1/2/4/8,
+//                   shared TT off.
 //
 //                 * HEADLINE: nonzero leaf cost (200 / 2000 ns nominal,
 //                   LeafCostModel::kSleep — latency-bound evaluation, so
@@ -32,20 +27,15 @@
 //                 Reports sustained requests/sec, request-dispatch and
 //                 end-to-end completion latency (avg / p99 / p99.9 over
 //                 the per-request samples of the best repetition), and
-//                 scheduler task counts. Rows from schedulers that have no
-//                 such counters (global-queue, legacy) carry JSON null,
-//                 not zero. Also times the SoA batch leaf kernels
-//                 (solve/batch_kernels.hpp) against the plain flat kernels
-//                 on a leaf-heavy tree sweep — the ablation for the
+//                 scheduler task counts. Also times the SoA batch leaf
+//                 kernels (solve/batch_kernels.hpp) against the plain flat
+//                 kernels on a leaf-heavy tree sweep — the ablation for the
 //                 vectorized leaf-frontier floor. Options:
 //                    --quick        smaller zero-cost stream, fewer reps
 //                    --json PATH    write results as JSON (default
 //                                   BENCH_throughput.json)
 //                    --check        exit non-zero if any CI gate fails:
-//                                   (a) the work-stealing engine is slower
-//                                   than the legacy per-call pool path at
-//                                   the 4-worker zero-cost workload, (b)
-//                                   8-worker req/s on the 2000 ns sleep
+//                                   (b) 8-worker req/s on the 2000 ns sleep
 //                                   workload is below 1.2x the 1-worker
 //                                   number, (c) adaptive granularity cuts
 //                                   scheduler tasks by less than 10x on
@@ -75,7 +65,6 @@
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "bench/bench_util.hpp"
@@ -90,9 +79,6 @@
 #include "gtpar/solve/flat_kernels.hpp"
 #include "gtpar/solve/nor_simulator.hpp"
 #include "gtpar/solve/sequential_solve.hpp"
-#include "gtpar/threads/mt_ab.hpp"
-#include "gtpar/threads/mt_solve.hpp"
-#include "gtpar/threads/thread_pool.hpp"
 #include "gtpar/tree/generators.hpp"
 
 namespace gtpar {
@@ -154,10 +140,7 @@ struct CellResult {
   std::uint64_t wall_ns = 0;       // best repetition
   double rps = 0.0;                // requests/sec at the best repetition
   /// Per-request latency distribution at the best repetition, sampled from
-  /// the job handles (SearchJob::dispatch_ns / completion_ns). false on
-  /// the legacy path, which never goes through Engine::submit() — the JSON
-  /// then carries null for these fields instead of fake zeros.
-  bool has_latency = false;
+  /// the job handles (SearchJob::dispatch_ns / completion_ns).
   std::uint64_t avg_dispatch_ns = 0;
   std::uint64_t max_dispatch_ns = 0;
   std::uint64_t p99_dispatch_ns = 0;
@@ -165,10 +148,6 @@ struct CellResult {
   std::uint64_t avg_completion_ns = 0;
   std::uint64_t p99_completion_ns = 0;
   std::uint64_t p999_completion_ns = 0;
-  /// Work-stealing scheduler counters. false for the global-queue and
-  /// legacy rows: those schedulers simply have no such counters, and a
-  /// zero would read as a measurement — the JSON carries null.
-  bool has_sched = false;
   WorkStealingStats sched_stats{};
   TranspositionTable::Stats tt{};  // zeros when the shared TT is off
 };
@@ -206,71 +185,22 @@ std::vector<SearchRequest> build_workload(
   return reqs;
 }
 
-/// The pre-engine architecture, reproduced exactly: requests served one at
-/// a time, each constructing (and joining) its own global-queue ThreadPool
-/// — the old self-scheduling mt_* entrypoints gave callers no way to share
-/// a scheduler across searches.
-CellResult run_legacy_cell(unsigned workers, const std::vector<SearchRequest>& reqs,
-                           int reps) {
-  CellResult cell;
-  cell.workers = workers;
-  cell.scheduler = "legacy-threadpool";
-  cell.requests = reqs.size();
-  if (!reqs.empty()) cell.leaf_cost_ns = reqs.front().leaf_cost_ns;
-  cell.wall_ns = UINT64_MAX;
-  for (int rep = 0; rep < reps; ++rep) {
-    const auto start = std::chrono::steady_clock::now();
-    for (const SearchRequest& req : reqs) {
-      ThreadPool pool(workers);
-      if (req.algorithm == Algorithm::kMtParallelSolve) {
-        MtSolveOptions opt;
-        opt.leaf_cost_ns = req.leaf_cost_ns;
-        opt.cost_model = req.cost_model;
-        opt.width = req.width;
-        opt.grain_ns = 1;  // pre-grain behaviour: every scout is a task
-        const auto r = mt_parallel_solve(*req.tree, opt, pool);
-        if (!r.complete) std::fprintf(stderr, "warning: incomplete search\n");
-      } else {
-        MtAbOptions opt;
-        opt.leaf_cost_ns = req.leaf_cost_ns;
-        opt.cost_model = req.cost_model;
-        opt.width = req.width;
-        opt.grain_ns = 1;  // pre-grain behaviour: every scout is a task
-        const auto r = mt_parallel_ab(*req.tree, opt, pool);
-        if (!r.complete) std::fprintf(stderr, "warning: incomplete search\n");
-      }
-    }
-    const auto end = std::chrono::steady_clock::now();
-    const auto wall = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(end - start).count());
-    cell.wall_ns = std::min(cell.wall_ns, wall);
-  }
-  cell.rps = double(cell.requests) / (double(cell.wall_ns) / 1e9);
-  return cell;
-}
-
 /// One engine cell: a fresh Engine per repetition (stats are per-rep),
 /// best-of-reps wall time. `tt_entries` = 0 keeps the shared TT off, so
-/// cells are comparable against TT-less baselines unless a cell opts in.
-CellResult run_cell(Engine::Scheduler scheduler, unsigned workers,
-                    const std::vector<SearchRequest>& reqs, int reps,
-                    const char* label = nullptr, std::size_t tt_entries = 0) {
+/// cells are comparable against each other unless a cell opts in.
+CellResult run_cell(unsigned workers, const std::vector<SearchRequest>& reqs,
+                    int reps, const char* label = "work-stealing",
+                    std::size_t tt_entries = 0) {
   CellResult cell;
   cell.workers = workers;
-  cell.scheduler =
-      label != nullptr ? label
-      : scheduler == Engine::Scheduler::kWorkStealing ? "work-stealing"
-                                                      : "global-queue";
+  cell.scheduler = label;
   cell.requests = reqs.size();
   if (!reqs.empty()) cell.leaf_cost_ns = reqs.front().leaf_cost_ns;
   cell.wall_ns = UINT64_MAX;
-  cell.has_latency = true;
-  cell.has_sched = scheduler == Engine::Scheduler::kWorkStealing;
   std::vector<double> dispatch_ns, completion_ns;  // best repetition's samples
   for (int rep = 0; rep < reps; ++rep) {
     Engine::Options opt;
     opt.workers = workers;
-    opt.scheduler = scheduler;
     opt.tt_entries = tt_entries;
     Engine eng(opt);
     std::vector<SearchJob> jobs;
@@ -382,26 +312,20 @@ std::uint64_t time_best_ns(const std::vector<Tree>& trees, int reps, Fn&& fn) {
 }
 
 struct BatchAblation {
-  const char* backend = "";          // dispatch backend of the batch legs
   std::uint64_t leaves = 0;          // total leaves per sweep (context)
   std::uint64_t solve_flat_ns = 0;   // flat_solve over the NOR sweep
-  std::uint64_t solve_batch_ns = 0;  // flat_solve_batch, native backend
-  std::uint64_t solve_batch_scalar_ns = 0;  // forced-scalar batch leg
+  std::uint64_t solve_batch_ns = 0;  // flat_solve_batch
   std::uint64_t ab_flat_ns = 0;
   std::uint64_t ab_batch_ns = 0;
-  std::uint64_t ab_batch_scalar_ns = 0;
   double solve_speedup = 0.0;  // flat / batch — the gated ratio
   double ab_speedup = 0.0;
-  double solve_vector_over_scalar = 0.0;  // scalar-batch / native-batch
-  double ab_vector_over_scalar = 0.0;
 };
 
 /// Times the plain flat kernels against their batch-floored variants on
 /// leaf-heavy trees: wide uniform trees put most internal nodes on the
 /// leaf frontier, which is exactly the population the SoA batch reductions
 /// serve. Branching 8 keeps the frontier spans a whole number of 8-wide
-/// blocks; branching 5 exercises the ragged tail. A forced-scalar batch
-/// leg separates the SoA-layout win from the SIMD win.
+/// blocks; branching 5 exercises the ragged tail.
 BatchAblation run_batch_ablation(int reps) {
   std::vector<Tree> nor_trees, mm_trees;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
@@ -422,21 +346,12 @@ BatchAblation run_batch_ablation(int reps) {
   a.ab_flat_ns = time_best_ns(mm_trees, reps, [&](const Tree& t) {
     sink += flat_alphabeta(t).leaves_evaluated;
   });
-  a.backend = batch_backend_name();
   a.solve_batch_ns = time_best_ns(nor_trees, reps, [&](const Tree& t) {
     sink += flat_solve_batch(t).leaves_evaluated;
   });
   a.ab_batch_ns = time_best_ns(mm_trees, reps, [&](const Tree& t) {
     sink += flat_alphabeta_batch(t).leaves_evaluated;
   });
-  set_batch_force_scalar(true);
-  a.solve_batch_scalar_ns = time_best_ns(nor_trees, reps, [&](const Tree& t) {
-    sink += flat_solve_batch(t).leaves_evaluated;
-  });
-  a.ab_batch_scalar_ns = time_best_ns(mm_trees, reps, [&](const Tree& t) {
-    sink += flat_alphabeta_batch(t).leaves_evaluated;
-  });
-  set_batch_force_scalar(false);
   benchmark::DoNotOptimize(sink);
 
   a.solve_speedup =
@@ -444,32 +359,17 @@ BatchAblation run_batch_ablation(int reps) {
                            : 0.0;
   a.ab_speedup =
       a.ab_batch_ns > 0 ? double(a.ab_flat_ns) / double(a.ab_batch_ns) : 0.0;
-  a.solve_vector_over_scalar =
-      a.solve_batch_ns > 0
-          ? double(a.solve_batch_scalar_ns) / double(a.solve_batch_ns)
-          : 0.0;
-  a.ab_vector_over_scalar =
-      a.ab_batch_ns > 0 ? double(a.ab_batch_scalar_ns) / double(a.ab_batch_ns)
-                        : 0.0;
   return a;
 }
 
 /// Headline ratios reported at the top of the JSON (and gated by --check).
 struct Headlines {
-  double ws_over_legacy_at_4 = 0.0;        // zero-cost grid
   double scaling_8v1_at_2000ns = 0.0;      // sleep sweep (the headline)
   double task_reduction_auto_grain = 0.0;  // always-spawn tasks / auto tasks
   double tt_uplift_at_2000ns = 0.0;        // shared-TT rps / TT-off rps, 8 workers
   double p99_completion_over_avg = 0.0;    // 8-worker 2000 ns sleep cell
   double batch_kernel_speedup = 0.0;       // min(solve, ab) flat/batch ratio
 };
-
-/// A field value that is either a measured number or JSON null (a counter
-/// the row's scheduler / code path doesn't have — see CellResult).
-std::string num_or_null(bool has, std::uint64_t v) {
-  return has ? std::to_string(static_cast<unsigned long long>(v))
-             : std::string("null");
-}
 
 void write_json(const char* path, const std::vector<CellResult>& cells,
                 std::size_t requests, int reps, const Headlines& h,
@@ -492,32 +392,23 @@ void write_json(const char* path, const std::vector<CellResult>& cells,
                h.task_reduction_auto_grain);
   std::fprintf(f, "    \"shared_tt_rps_uplift_at_2000ns_8_workers\": %.3f,\n",
                h.tt_uplift_at_2000ns);
-  std::fprintf(f, "    \"ws_engine_over_legacy_rps_at_4_workers\": %.3f,\n",
-               h.ws_over_legacy_at_4);
   std::fprintf(f, "    \"p99_completion_over_avg_at_2000ns_8_workers\": %.3f,\n",
                h.p99_completion_over_avg);
   std::fprintf(f, "    \"batch_kernel_speedup\": %.3f\n",
                h.batch_kernel_speedup);
   std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"batch_kernels\": {\"backend\": \"%s\", "
-                  "\"leaves_per_sweep\": %llu,\n",
-               batch.backend,
+  std::fprintf(f, "  \"batch_kernels\": {\"leaves_per_sweep\": %llu,\n",
                static_cast<unsigned long long>(batch.leaves));
   std::fprintf(f, "    \"solve_flat_ns\": %llu, \"solve_batch_ns\": %llu, "
-                  "\"solve_batch_scalar_ns\": %llu, \"solve_speedup\": %.3f,\n",
+                  "\"solve_speedup\": %.3f,\n",
                static_cast<unsigned long long>(batch.solve_flat_ns),
                static_cast<unsigned long long>(batch.solve_batch_ns),
-               static_cast<unsigned long long>(batch.solve_batch_scalar_ns),
                batch.solve_speedup);
   std::fprintf(f, "    \"ab_flat_ns\": %llu, \"ab_batch_ns\": %llu, "
-                  "\"ab_batch_scalar_ns\": %llu, \"ab_speedup\": %.3f,\n",
+                  "\"ab_speedup\": %.3f},\n",
                static_cast<unsigned long long>(batch.ab_flat_ns),
                static_cast<unsigned long long>(batch.ab_batch_ns),
-               static_cast<unsigned long long>(batch.ab_batch_scalar_ns),
                batch.ab_speedup);
-  std::fprintf(f, "    \"solve_vector_over_scalar\": %.3f, "
-                  "\"ab_vector_over_scalar\": %.3f},\n",
-               batch.solve_vector_over_scalar, batch.ab_vector_over_scalar);
   if (faults) {
     std::fprintf(f, "  \"resilience_overhead_at_zero_faults\": %.4f,\n",
                  zero_fault_overhead);
@@ -531,26 +422,26 @@ void write_json(const char* path, const std::vector<CellResult>& cells,
         "    {\"workers\": %u, \"scheduler\": \"%s\", \"requests\": %zu, "
         "\"leaf_cost_ns\": %llu, "
         "\"wall_ns\": %llu, \"requests_per_sec\": %.1f, "
-        "\"avg_dispatch_ns\": %s, \"max_dispatch_ns\": %s, "
-        "\"p99_dispatch_ns\": %s, \"p999_dispatch_ns\": %s, "
-        "\"avg_completion_ns\": %s, \"p99_completion_ns\": %s, "
-        "\"p999_completion_ns\": %s, "
-        "\"tasks_executed\": %s, \"steals\": %s, \"inline_runs\": %s, "
-        "\"parks\": %s, \"tt_probes\": %llu, \"tt_hits\": %llu}%s\n",
+        "\"avg_dispatch_ns\": %llu, \"max_dispatch_ns\": %llu, "
+        "\"p99_dispatch_ns\": %llu, \"p999_dispatch_ns\": %llu, "
+        "\"avg_completion_ns\": %llu, \"p99_completion_ns\": %llu, "
+        "\"p999_completion_ns\": %llu, "
+        "\"tasks_executed\": %llu, \"steals\": %llu, \"inline_runs\": %llu, "
+        "\"parks\": %llu, \"tt_probes\": %llu, \"tt_hits\": %llu}%s\n",
         c.workers, c.scheduler, c.requests,
         static_cast<unsigned long long>(c.leaf_cost_ns),
         static_cast<unsigned long long>(c.wall_ns), c.rps,
-        num_or_null(c.has_latency, c.avg_dispatch_ns).c_str(),
-        num_or_null(c.has_latency, c.max_dispatch_ns).c_str(),
-        num_or_null(c.has_latency, c.p99_dispatch_ns).c_str(),
-        num_or_null(c.has_latency, c.p999_dispatch_ns).c_str(),
-        num_or_null(c.has_latency, c.avg_completion_ns).c_str(),
-        num_or_null(c.has_latency, c.p99_completion_ns).c_str(),
-        num_or_null(c.has_latency, c.p999_completion_ns).c_str(),
-        num_or_null(c.has_sched, c.sched_stats.executed).c_str(),
-        num_or_null(c.has_sched, c.sched_stats.steals).c_str(),
-        num_or_null(c.has_sched, c.sched_stats.inline_runs).c_str(),
-        num_or_null(c.has_sched, c.sched_stats.parks).c_str(),
+        static_cast<unsigned long long>(c.avg_dispatch_ns),
+        static_cast<unsigned long long>(c.max_dispatch_ns),
+        static_cast<unsigned long long>(c.p99_dispatch_ns),
+        static_cast<unsigned long long>(c.p999_dispatch_ns),
+        static_cast<unsigned long long>(c.avg_completion_ns),
+        static_cast<unsigned long long>(c.p99_completion_ns),
+        static_cast<unsigned long long>(c.p999_completion_ns),
+        static_cast<unsigned long long>(c.sched_stats.executed),
+        static_cast<unsigned long long>(c.sched_stats.steals),
+        static_cast<unsigned long long>(c.sched_stats.inline_runs),
+        static_cast<unsigned long long>(c.sched_stats.parks),
         static_cast<unsigned long long>(c.tt.probes),
         static_cast<unsigned long long>(c.tt.hits),
         i + 1 < cells.size() ? "," : "");
@@ -586,44 +477,26 @@ int run_throughput(bool quick, const char* json_path, bool check, bool faults) {
   std::printf("|---------|-------------------|---------|----------|--------------|--------------|--------------|--------|--------|\n");
 
   std::vector<CellResult> cells;
-  double ws4 = 0.0, legacy4 = 0.0;
+  double ws4 = 0.0;
   std::uint64_t tasks_auto_8 = 0;
-  // "-" where the row's code path has no such counter (see CellResult).
-  const auto ns_or_dash = [](bool has, std::uint64_t v) {
-    return has ? std::to_string(static_cast<unsigned long long>(v)) + " ns"
-               : std::string("-");
-  };
-  const auto n_or_dash = [](bool has, std::uint64_t v) {
-    return has ? std::to_string(static_cast<unsigned long long>(v))
-               : std::string("-");
-  };
   const auto emit = [&](const CellResult& c) {
     std::printf(
-        "| %-7u | %-17s | %-7llu | %-8.0f | %12s | %12s | %12s | %-6s | %-6s |\n",
+        "| %-7u | %-17s | %-7llu | %-8.0f | %9llu ns | %9llu ns | %9llu ns | "
+        "%-6llu | %-6llu |\n",
         c.workers, c.scheduler, static_cast<unsigned long long>(c.leaf_cost_ns),
-        c.rps,
-        ns_or_dash(c.has_latency, c.avg_dispatch_ns).c_str(),
-        ns_or_dash(c.has_latency, c.p99_dispatch_ns).c_str(),
-        ns_or_dash(c.has_latency, c.p99_completion_ns).c_str(),
-        n_or_dash(c.has_sched, c.sched_stats.executed).c_str(),
-        n_or_dash(c.has_sched, c.sched_stats.steals).c_str());
+        c.rps, static_cast<unsigned long long>(c.avg_dispatch_ns),
+        static_cast<unsigned long long>(c.p99_dispatch_ns),
+        static_cast<unsigned long long>(c.p99_completion_ns),
+        static_cast<unsigned long long>(c.sched_stats.executed),
+        static_cast<unsigned long long>(c.sched_stats.steals));
     cells.push_back(c);
   };
 
-  // Zero-cost grid: scheduler-bound, all three architectures.
+  // Zero-cost grid: scheduler-bound.
   for (unsigned workers : {1u, 2u, 4u, 8u}) {
-    const CellResult ws =
-        run_cell(Engine::Scheduler::kWorkStealing, workers, reqs, reps);
-    const CellResult gq =
-        run_cell(Engine::Scheduler::kGlobalQueue, workers, reqs, reps);
-    const CellResult legacy = run_legacy_cell(workers, reqs, reps);
+    const CellResult ws = run_cell(workers, reqs, reps);
     emit(ws);
-    emit(gq);
-    emit(legacy);
-    if (workers == 4) {
-      ws4 = ws.rps;
-      legacy4 = legacy.rps;
-    }
+    if (workers == 4) ws4 = ws.rps;
     if (workers == 8) tasks_auto_8 = ws.sched_stats.executed;
   }
 
@@ -631,9 +504,8 @@ int run_throughput(bool quick, const char* json_path, bool check, bool faults) {
   // to always-spawn reproduces the pre-grain task flood; the ratio against
   // the auto-grain cell is the task-reduction headline.
   const CellResult grain_off_c0 =
-      run_cell(Engine::Scheduler::kWorkStealing, 8,
-               build_workload(trees, count, 0, LeafCostModel::kSpin, 1), reps,
-               "ws-grain-off");
+      run_cell(8, build_workload(trees, count, 0, LeafCostModel::kSpin, 1),
+               reps, "ws-grain-off");
   emit(grain_off_c0);
   const double task_reduction =
       tasks_auto_8 > 0
@@ -650,8 +522,7 @@ int run_throughput(bool quick, const char* json_path, bool check, bool faults) {
     const std::vector<SearchRequest> sreqs =
         build_workload(trees, sweep_count, cost, LeafCostModel::kSleep, 0);
     for (unsigned workers : {1u, 2u, 4u, 8u}) {
-      const CellResult c = run_cell(Engine::Scheduler::kWorkStealing, workers,
-                                    sreqs, sweep_reps);
+      const CellResult c = run_cell(workers, sreqs, sweep_reps);
       emit(c);
       if (cost == 2000) {
         if (workers == 1) sleep1_2000 = c.rps;
@@ -669,14 +540,12 @@ int run_throughput(bool quick, const char* json_path, bool check, bool faults) {
   // Ablations at 8 workers / 2000 ns: grain pinned to always-spawn (what
   // adaptive granularity buys under real leaf cost), and the shared TT
   // switched on (cross-request value reuse on the repeating tree mix).
-  const CellResult grain_off_sleep =
-      run_cell(Engine::Scheduler::kWorkStealing, 8,
-               build_workload(trees, sweep_count, 2000, LeafCostModel::kSleep, 1),
-               sweep_reps, "ws-grain-off");
+  const CellResult grain_off_sleep = run_cell(
+      8, build_workload(trees, sweep_count, 2000, LeafCostModel::kSleep, 1),
+      sweep_reps, "ws-grain-off");
   emit(grain_off_sleep);
-  const CellResult tt_on =
-      run_cell(Engine::Scheduler::kWorkStealing, 8, sweep_2000, sweep_reps,
-               "ws+shared-tt", std::size_t{1} << 16);
+  const CellResult tt_on = run_cell(8, sweep_2000, sweep_reps, "ws+shared-tt",
+                                    std::size_t{1} << 16);
   emit(tt_on);
   const double tt_uplift = sleep8_2000 > 0.0 ? tt_on.rps / sleep8_2000 : 0.0;
 
@@ -688,12 +557,10 @@ int run_throughput(bool quick, const char* json_path, bool check, bool faults) {
   if (faults) {
     NoopHook noop;
     const CellResult armed =
-        run_cell(Engine::Scheduler::kWorkStealing, 4,
-                 with_resilience(reqs, &noop, 4), reps, "ws+inert-hook");
+        run_cell(4, with_resilience(reqs, &noop, 4), reps, "ws+inert-hook");
     FlakyHook flaky(0x9e3779b97f4a7c15ull, 0.10);
     const CellResult storm =
-        run_cell(Engine::Scheduler::kWorkStealing, 4,
-                 with_resilience(reqs, &flaky, 4), reps, "ws+retry-storm");
+        run_cell(4, with_resilience(reqs, &flaky, 4), reps, "ws+retry-storm");
     emit(armed);
     emit(storm);
     zero_fault_overhead = armed.rps > 0 ? ws4 / armed.rps - 1.0 : 0.0;
@@ -708,7 +575,6 @@ int run_throughput(bool quick, const char* json_path, bool check, bool faults) {
   const BatchAblation batch = run_batch_ablation(quick ? 25 : 50);
 
   Headlines h;
-  h.ws_over_legacy_at_4 = legacy4 > 0 ? ws4 / legacy4 : 0.0;
   h.scaling_8v1_at_2000ns = scaling_8v1;
   h.task_reduction_auto_grain = task_reduction;
   h.tt_uplift_at_2000ns = tt_uplift;
@@ -730,26 +596,22 @@ int run_throughput(bool quick, const char* json_path, bool check, bool faults) {
               "(%llu probes, %llu hits)\n",
               tt_uplift, static_cast<unsigned long long>(tt_on.tt.probes),
               static_cast<unsigned long long>(tt_on.tt.hits));
-  std::printf("work-stealing engine vs legacy per-call pools at 4 workers: %.2fx\n",
-              h.ws_over_legacy_at_4);
   std::printf("completion tail at 2000 ns / 8 workers: avg %llu ns, "
               "p99 %llu ns, p99.9 %llu ns (p99/avg %.2fx)\n",
               static_cast<unsigned long long>(sleep8_cell.avg_completion_ns),
               static_cast<unsigned long long>(sleep8_cell.p99_completion_ns),
               static_cast<unsigned long long>(sleep8_cell.p999_completion_ns),
               h.p99_completion_over_avg);
-  std::printf("batch leaf kernels (%s backend, %llu leaves/sweep): "
+  std::printf("batch leaf kernels (%llu leaves/sweep): "
               "solve %.2fx over flat (%llu -> %llu ns), "
-              "ab %.2fx over flat (%llu -> %llu ns); "
-              "vector over forced-scalar: solve %.2fx, ab %.2fx\n",
-              batch.backend, static_cast<unsigned long long>(batch.leaves),
+              "ab %.2fx over flat (%llu -> %llu ns)\n",
+              static_cast<unsigned long long>(batch.leaves),
               batch.solve_speedup,
               static_cast<unsigned long long>(batch.solve_flat_ns),
               static_cast<unsigned long long>(batch.solve_batch_ns),
               batch.ab_speedup,
               static_cast<unsigned long long>(batch.ab_flat_ns),
-              static_cast<unsigned long long>(batch.ab_batch_ns),
-              batch.solve_vector_over_scalar, batch.ab_vector_over_scalar);
+              static_cast<unsigned long long>(batch.ab_batch_ns));
   if (faults) {
     std::printf(
         "\nresilience overhead at zero fault rate (4 workers): %+.2f%% "
@@ -764,13 +626,6 @@ int run_throughput(bool quick, const char* json_path, bool check, bool faults) {
   write_json(json_path, cells, count, reps, h, batch, faults,
              zero_fault_overhead, storm_ratio);
 
-  if (check && h.ws_over_legacy_at_4 < 1.0) {
-    std::fprintf(stderr,
-                 "FAIL: work-stealing engine slower than the legacy per-call "
-                 "ThreadPool path at the 4-worker mixed workload (%.2fx)\n",
-                 h.ws_over_legacy_at_4);
-    return 1;
-  }
   if (check && scaling_8v1 < 1.2) {
     std::fprintf(stderr,
                  "FAIL: 8-worker work-stealing throughput on the 2000 ns "

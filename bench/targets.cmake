@@ -7,7 +7,7 @@ function(gtpar_bench name)
   target_include_directories(${name} PRIVATE ${CMAKE_CURRENT_LIST_DIR}/..)
   target_link_libraries(${name} PRIVATE
     gtpar_tree gtpar_sim gtpar_solve gtpar_ab gtpar_expand gtpar_rand
-    gtpar_mp gtpar_threads gtpar_analysis gtpar_games Threads::Threads)
+    gtpar_mp gtpar_engine gtpar_analysis gtpar_games Threads::Threads)
   set_target_properties(${name} PROPERTIES
     RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 endfunction()
@@ -34,4 +34,3 @@ gtpar_bench(bench_throughput)
 target_link_libraries(bench_throughput PRIVATE benchmark::benchmark)
 gtpar_bench(bench_e18_parallel_sss)
 gtpar_bench(bench_gameplay)
-target_link_libraries(bench_gameplay PRIVATE gtpar_engine)

@@ -56,11 +56,9 @@ RunOutcome run_facade(const SearchRequest& req) {
 /// RunContext) are tolerated: the entry reports the first exact copy, or
 /// the first copy's anytime outcome when none completed.
 RunOutcome run_engine_batch(const SearchRequest& req, unsigned copies,
-                            Engine::Scheduler scheduler, Value sentinel,
-                            std::size_t tt_entries = 0) {
+                            Value sentinel, std::size_t tt_entries = 0) {
   Engine::Options eopt;
   eopt.workers = 4;
-  eopt.scheduler = scheduler;
   // Entries declaring per-search work units run with the shared TT off
   // (tt_entries 0) so their distinct-leaf counters keep their meaning; the
   // dedicated tt entry opts in and declares Traits::shared_cache.
@@ -211,8 +209,7 @@ std::vector<Algorithm> build_nor_registry() {
   // short-circuit fires at block granularity, so the leaf count may exceed
   // S(T) by up to kBatchBlock-1 per frontier cutoff — every scanned leaf is
   // distinct, so the oracle's [certificate, num_leaves] work interval still
-  // binds. Runs whichever backend the CPU dispatch picks; the CI
-  // scalar-forced leg and fuzz_search --force-scalar pin the other path.
+  // binds.
   r.push_back({"flat-solve-batch",
                {WorkUnit::kDistinctLeaves, false, false},
                nullptr,
@@ -221,7 +218,7 @@ std::vector<Algorithm> build_nor_registry() {
                      make_request(SearchAlgorithm::kFlatSolveBatch, t, src, ctx));
                }});
 
-  // Engine-backed variants: the same Mt cascade, but dispatched as batched
+  // Engine-backed variant: the same Mt cascade, but dispatched as batched
   // requests on a shared scheduler. The sentinel 2 is outside the NOR value
   // domain {0, 1}, so any cross-copy disagreement fails value checking.
   r.push_back({"engine-mt-parallel-solve-x3",
@@ -230,18 +227,7 @@ std::vector<Algorithm> build_nor_registry() {
                [](const Tree& t, const TreeSource& src, const RunContext& ctx) {
                  auto req = make_request(SearchAlgorithm::kMtParallelSolve, t, src, ctx);
                  req.grain = 1;
-                 return run_engine_batch(req, 3, Engine::Scheduler::kWorkStealing,
-                                         /*sentinel=*/2);
-               }});
-
-  r.push_back({"engine-globalqueue-mt-parallel-solve-x3",
-               {WorkUnit::kDistinctLeaves, true, false},
-               nullptr,
-               [](const Tree& t, const TreeSource& src, const RunContext& ctx) {
-                 auto req = make_request(SearchAlgorithm::kMtParallelSolve, t, src, ctx);
-                 req.grain = 1;
-                 return run_engine_batch(req, 3, Engine::Scheduler::kGlobalQueue,
-                                         /*sentinel=*/2);
+                 return run_engine_batch(req, 3, /*sentinel=*/2);
                }});
 
   return r;
@@ -429,18 +415,7 @@ std::vector<Algorithm> build_minimax_registry() {
                [](const Tree& t, const TreeSource& src, const RunContext& ctx) {
                  auto req = make_request(SearchAlgorithm::kMtParallelAb, t, src, ctx);
                  req.grain = 1;
-                 return run_engine_batch(req, 3, Engine::Scheduler::kWorkStealing,
-                                         /*sentinel=*/kPlusInf);
-               }});
-
-  r.push_back({"engine-globalqueue-mt-parallel-ab-x3",
-               {WorkUnit::kDistinctLeaves, true, false},
-               nullptr,
-               [](const Tree& t, const TreeSource& src, const RunContext& ctx) {
-                 auto req = make_request(SearchAlgorithm::kMtParallelAb, t, src, ctx);
-                 req.grain = 1;
-                 return run_engine_batch(req, 3, Engine::Scheduler::kGlobalQueue,
-                                         /*sentinel=*/kPlusInf);
+                 return run_engine_batch(req, 3, /*sentinel=*/kPlusInf);
                }});
 
   // Shared transposition table across the three concurrent copies: the
@@ -453,8 +428,7 @@ std::vector<Algorithm> build_minimax_registry() {
                [](const Tree& t, const TreeSource& src, const RunContext& ctx) {
                  auto req = make_request(SearchAlgorithm::kMtParallelAb, t, src, ctx);
                  req.grain = 1;
-                 return run_engine_batch(req, 3, Engine::Scheduler::kWorkStealing,
-                                         /*sentinel=*/kPlusInf,
+                 return run_engine_batch(req, 3, /*sentinel=*/kPlusInf,
                                          /*tt_entries=*/std::size_t{1} << 14);
                }});
 

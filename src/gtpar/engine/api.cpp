@@ -119,7 +119,6 @@ SearchResult dispatch(const SearchRequest& req, const Tree* t,
     }
     case Algorithm::kMtParallelSolve: {
       MtSolveOptions opt;
-      opt.threads = req.threads;
       opt.width = req.width;
       opt.leaf_cost_ns = req.leaf_cost_ns;
       opt.cost_model = req.cost_model;
@@ -202,7 +201,6 @@ SearchResult dispatch(const SearchRequest& req, const Tree* t,
     }
     case Algorithm::kMtParallelAb: {
       MtAbOptions opt;
-      opt.threads = req.threads;
       opt.width = req.width;
       opt.leaf_cost_ns = req.leaf_cost_ns;
       opt.cost_model = req.cost_model;
@@ -367,12 +365,8 @@ SearchResult search(const SearchRequest& req) {
     const std::uint32_t cutoff = min_spawn_leaves(
         default_grain_policy(), req.grain, req.leaf_cost_ns);
     if (req.tree->num_leaves() < cutoff) {
-      class NullExecutor final : public Executor {
-       public:
-        void submit(std::function<void()> task) override { task(); }
-        unsigned workers() const noexcept override { return 0; }
-      } null_exec;
-      return search_impl(req, &null_exec);
+      InlineExecutor inline_exec;
+      return search_impl(req, &inline_exec);
     }
   }
   WorkStealingPool pool(std::max(req.threads, 1u));

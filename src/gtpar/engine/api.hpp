@@ -11,8 +11,7 @@
 //
 // replaces the per-algorithm option structs (MtSolveOptions, MtAbOptions,
 // the run_* free functions) that each example and harness used to wire up
-// by hand. The legacy entrypoints remain as thin wrappers over this
-// façade; the differential-oracle registry (check/registry.cpp) and the
+// by hand. The differential-oracle registry (check/registry.cpp) and the
 // batched evaluation engine (engine/engine.hpp) are expressed directly on
 // top of it.
 //

@@ -9,8 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "gtpar/threads/thread_pool.hpp"
-
 namespace gtpar {
 
 using Clock = std::chrono::steady_clock;
@@ -21,6 +19,15 @@ std::int64_t steady_now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              Clock::now().time_since_epoch())
       .count();
+}
+
+WorkStealingPool::Options pool_options(const Engine::Options& o) {
+  WorkStealingPool::Options p;
+  p.threads = o.workers;
+  p.deque_capacity = o.deque_capacity;
+  p.injection_bound = o.queue_bound;
+  p.pin_workers = o.pin_workers;
+  return p;
 }
 
 }  // namespace
@@ -81,9 +88,7 @@ std::uint64_t SearchJob::completion_ns() const noexcept {
 
 struct Engine::Impl {
   Options opt;
-  std::unique_ptr<WorkStealingPool> ws;
-  std::unique_ptr<ThreadPool> gq;
-  Executor* exec = nullptr;
+  WorkStealingPool pool;
   /// Shared transposition table, armed into every Mt alpha-beta request
   /// whose own tt pointer is null; null when Options::tt_entries == 0.
   std::unique_ptr<TranspositionTable> tt;
@@ -102,25 +107,10 @@ struct Engine::Impl {
   bool wd_stop = false;
   std::condition_variable wd_cv;
 
-  explicit Impl(const Options& o) : opt(o) {
+  explicit Impl(const Options& o) : opt(o), pool(pool_options(o)) {
     if (opt.tt_entries != 0)
       tt = std::make_unique<TranspositionTable>(opt.tt_entries,
                                                 opt.tt_huge_pages);
-    if (opt.scheduler == Scheduler::kWorkStealing) {
-      WorkStealingPool::Options wso;
-      wso.threads = opt.workers;
-      wso.deque_capacity = opt.deque_capacity;
-      wso.injection_bound = opt.queue_bound;
-      wso.pin_workers = opt.pin_workers;
-      ws = std::make_unique<WorkStealingPool>(wso);
-      exec = ws.get();
-    } else {
-      ThreadPool::Options tpo;
-      tpo.threads = opt.workers;
-      tpo.max_queue = opt.queue_bound;
-      gq = std::make_unique<ThreadPool>(tpo);
-      exec = gq.get();
-    }
     if (opt.stall_timeout_ns != 0)
       watchdog = std::thread([this] { watchdog_loop(); });
   }
@@ -132,7 +122,7 @@ struct Engine::Impl {
     }
     wd_cv.notify_all();
     if (watchdog.joinable()) watchdog.join();
-    // Pool members are destroyed after this body; they join their workers.
+    // The pool member is destroyed after this body; it joins its workers.
   }
 
   /// Invoke and release a job's completion callback. Called only by the
@@ -200,7 +190,7 @@ struct Engine::Impl {
       result.completeness = Completeness::kFailed;
     } else {
       try {
-        result = search(st->req, *exec);
+        result = search(st->req, pool);
       } catch (...) {
         error = std::current_exception();
       }
@@ -300,8 +290,8 @@ Engine::Engine(const Options& opt) : impl_(std::make_unique<Impl>(opt)) {}
 
 Engine::~Engine() {
   drain();
-  // Impl dtor joins the watchdog; pool destructors join the workers
-  // (work-stealing drains its deques).
+  // Impl dtor joins the watchdog; the pool destructor drains its deques
+  // and joins the workers.
 }
 
 SearchJob Engine::submit(SearchRequest req) {
@@ -370,7 +360,7 @@ SearchJob Engine::submit(SearchRequest req, CompletionFn on_complete) {
     impl->execute_job(st);
     return job;
   }
-  impl->exec->submit([impl, st] { impl->execute_job(st); });
+  impl->pool.submit([impl, st] { impl->execute_job(st); });
   return job;
 }
 
@@ -403,15 +393,15 @@ EngineStats Engine::stats() const {
     std::lock_guard<std::mutex> lock(impl_->mu);
     s = impl_->agg;
   }
-  if (impl_->ws) s.scheduler = impl_->ws->stats();
+  s.scheduler = impl_->pool.stats();
   if (impl_->tt) s.tt = impl_->tt->stats();
   return s;
 }
 
-unsigned Engine::workers() const noexcept { return impl_->exec->workers(); }
+unsigned Engine::workers() const noexcept { return impl_->pool.workers(); }
 
 TranspositionTable* Engine::shared_tt() noexcept { return impl_->tt.get(); }
 
-Executor& Engine::executor() noexcept { return *impl_->exec; }
+Executor& Engine::executor() noexcept { return impl_->pool; }
 
 }  // namespace gtpar

@@ -13,10 +13,8 @@
 //   job.cancel();                       // optional, cooperative
 //   const SearchResult& r = job.wait();
 //
-// The scheduler is pluggable: the default is the work-stealing pool
-// (engine/work_stealing.hpp); kGlobalQueue selects the legacy
-// mutex-guarded ThreadPool, kept as the baseline the throughput benchmark
-// compares against.
+// The scheduler is the work-stealing pool (engine/work_stealing.hpp); the
+// Engine owns exactly one.
 #pragma once
 
 #include <cstdint>
@@ -145,7 +143,7 @@ struct EngineStats {
   /// Leaf-evaluation retries / evaluator faults summed over finished jobs.
   std::uint64_t total_retries = 0;
   std::uint64_t total_faults = 0;
-  /// Scheduler counters; all zero under Scheduler::kGlobalQueue.
+  /// Work-stealing scheduler counters.
   WorkStealingStats scheduler{};
   /// Shared transposition-table counters; all zero when Options::tt_entries
   /// is 0 (table disabled).
@@ -154,18 +152,12 @@ struct EngineStats {
 
 class Engine {
  public:
-  enum class Scheduler : std::uint8_t {
-    kWorkStealing,  ///< per-worker deques, lock-free fast path (default)
-    kGlobalQueue,   ///< legacy ThreadPool: one mutex-guarded queue
-  };
-
   struct Options {
     unsigned workers = 4;
-    Scheduler scheduler = Scheduler::kWorkStealing;
-    /// Per-worker deque capacity (work-stealing only); overflow caller-runs.
+    /// Per-worker deque capacity; overflow caller-runs.
     std::size_t deque_capacity = 1024;
-    /// Bound on the external submission queue (injection queue for
-    /// work-stealing, the global queue for kGlobalQueue); 0 = unbounded.
+    /// Bound on the pool's injection queue, where submit() puts jobs;
+    /// 0 = unbounded.
     std::size_t queue_bound = 0;
     /// Overload control: maximum jobs in flight before submit() applies
     /// `shed`; 0 = unbounded admission (no shedding).
@@ -185,8 +177,8 @@ class Engine {
     /// disables the table (per-search private memos, the old behaviour).
     std::size_t tt_entries = std::size_t{1} << 16;
     /// Pin scheduler workers round-robin over online CPUs
-    /// (WorkStealingPool::Options::pin_workers; work-stealing only, Linux
-    /// only). Off by default — see the option's comment there.
+    /// (WorkStealingPool::Options::pin_workers; Linux only). Off by
+    /// default — see the option's comment there.
     bool pin_workers = false;
     /// Back the shared transposition table with transparent huge pages
     /// (madvise(MADV_HUGEPAGE); Linux only, best-effort). Worth switching

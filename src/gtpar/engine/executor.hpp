@@ -5,10 +5,10 @@
 // engine (engine/engine.hpp):
 //
 //  - Executor: the minimal scheduler interface a driver needs to spawn
-//    scout tasks. Both the legacy global-queue ThreadPool and the
-//    work-stealing pool (engine/work_stealing.hpp) implement it, so a
-//    search can run unchanged on either scheduler and many searches can
-//    share one scheduler (the engine's cross-request load balancing).
+//    scout tasks. The work-stealing pool (engine/work_stealing.hpp)
+//    implements it, so many searches can share one scheduler (the
+//    engine's cross-request load balancing). InlineExecutor runs every
+//    task on the submitting thread, for drivers that must not spawn.
 //
 //  - SearchLimits: cooperative cancellation and wall-clock budget. Every
 //    real-thread driver polls these on its hot path; lock-step simulators
@@ -35,6 +35,15 @@ class Executor {
 
   /// Number of worker threads executing submitted tasks.
   virtual unsigned workers() const noexcept = 0;
+};
+
+/// Runs each task on the submitting thread before submit() returns: the
+/// executor for sequential baselines and for searches too small to be
+/// worth a scheduler.
+class InlineExecutor final : public Executor {
+ public:
+  void submit(std::function<void()> task) override { task(); }
+  unsigned workers() const noexcept override { return 0; }
 };
 
 /// Cooperative limits on one search request.

@@ -243,9 +243,13 @@ void WorkStealingPool::worker_loop(unsigned index) {
       continue;
     }
     if (stopping_.load(std::memory_order_seq_cst)) {
-      // Drain semantics: exit only when a stopping sweep finds nothing.
-      if (next_task(index) == nullptr) break;
-      // (A task appeared between the sweeps; loop and run it.)
+      // Drain semantics: exit only when a stopping sweep finds nothing. A
+      // task that appeared between the sweeps is already claimed by this
+      // one, so run it here.
+      Task* t = next_task(index);
+      if (t == nullptr) break;
+      executed_.fetch_add(1, std::memory_order_relaxed);
+      run_and_delete(t);
       continue;
     }
     // Park. Order matters for the no-lost-wakeup argument: register as a

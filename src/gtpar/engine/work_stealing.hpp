@@ -1,8 +1,8 @@
 // gtpar/engine/work_stealing.hpp
 //
-// The work-stealing scheduler behind the batched evaluation engine — the
-// replacement for the single mutex+condition-variable queue of
-// threads/thread_pool.hpp.
+// The work-stealing scheduler: the one Executor that runs scout tasks,
+// whether owned by the batched evaluation engine, by gtpar::search, or by
+// a caller that runs the Mt cascades directly.
 //
 // Design (after Chase & Lev, "Dynamic Circular Work-Stealing Deque", and
 // the structured-parallelism MCTS/PNS literature):
@@ -12,10 +12,10 @@
 //    work), thieves CAS the top (FIFO: the oldest task — in a cascade the
 //    highest, largest subtree — is stolen first, which is the
 //    breadth-first dispatch that makes the cascade parallel).
-//  - Tasks submitted from non-worker threads (engine requests, the legacy
-//    drivers' calling-thread spines) enter a shared injection queue that
-//    workers drain when their deque and all steal attempts come up empty.
-//    This doubles as the engine's request queue.
+//  - Tasks submitted from non-worker threads (engine requests, cascade
+//    spines running on a caller's thread) enter a shared injection queue
+//    that workers drain when their deque and all steal attempts come up
+//    empty. This doubles as the engine's request queue.
 //  - Bounded everywhere, caller-runs on overflow: a full deque or a full
 //    injection queue never blocks and never grows without bound — the
 //    submitting thread executes the task inline instead, which for scout
@@ -78,8 +78,8 @@ class WorkStealingPool final : public Executor {
   explicit WorkStealingPool(Options opt);
   explicit WorkStealingPool(unsigned threads) : WorkStealingPool(Options{threads}) {}
 
-  /// Drains outstanding tasks, then joins the workers. As with ThreadPool,
-  /// callers must not submit concurrently with destruction.
+  /// Drains outstanding tasks, then joins the workers. Callers must not
+  /// submit concurrently with destruction.
   ~WorkStealingPool() override;
 
   WorkStealingPool(const WorkStealingPool&) = delete;

@@ -46,7 +46,6 @@
 // Real threads.
 #include "gtpar/threads/mt_ab.hpp"
 #include "gtpar/threads/mt_solve.hpp"
-#include "gtpar/threads/thread_pool.hpp"
 
 // Unified search façade, work-stealing scheduler, and batched engine.
 #include "gtpar/engine/api.hpp"

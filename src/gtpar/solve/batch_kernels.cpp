@@ -1,27 +1,12 @@
 #include "gtpar/solve/batch_kernels.hpp"
 
-#include <atomic>
-#include <cstdlib>
-
-#if defined(__x86_64__) && defined(__GNUC__)
-#define GTPAR_BATCH_HAVE_AVX2 1
-#include <immintrin.h>
-#else
-#define GTPAR_BATCH_HAVE_AVX2 0
-#endif
-
 namespace gtpar {
 
-namespace {
+// The full-block inner loops carry no early exit and no data-dependent
+// control flow, so the compiler is free to vectorize them; the early-exit
+// test runs once per block against the accumulated prefix.
 
-// ---------------------------------------------------------------------------
-// Portable backend. The full-block inner loops carry no early exit and no
-// data-dependent control flow, so the compiler is free to vectorize them;
-// the early-exit test runs once per block against the accumulated prefix.
-// ---------------------------------------------------------------------------
-
-BatchReduce batch_max_scalar(const Value* v, std::uint32_t n,
-                             Value bound) noexcept {
+BatchReduce batch_max(const Value* v, std::uint32_t n, Value bound) noexcept {
   BatchReduce r{kMinusInf, 0, false};
   std::uint32_t i = 0;
   while (n - i >= kBatchBlock) {
@@ -48,8 +33,7 @@ BatchReduce batch_max_scalar(const Value* v, std::uint32_t n,
   return r;
 }
 
-BatchReduce batch_min_scalar(const Value* v, std::uint32_t n,
-                             Value bound) noexcept {
+BatchReduce batch_min(const Value* v, std::uint32_t n, Value bound) noexcept {
   BatchReduce r{kPlusInf, 0, false};
   std::uint32_t i = 0;
   while (n - i >= kBatchBlock) {
@@ -76,7 +60,7 @@ BatchReduce batch_min_scalar(const Value* v, std::uint32_t n,
   return r;
 }
 
-BatchNor batch_nor_any_scalar(const Value* v, std::uint32_t n) noexcept {
+BatchNor batch_nor_any(const Value* v, std::uint32_t n) noexcept {
   BatchNor r{false, 0};
   std::uint32_t i = 0;
   while (n - i >= kBatchBlock) {
@@ -98,199 +82,6 @@ BatchNor batch_nor_any_scalar(const Value* v, std::uint32_t n) noexcept {
   }
   r.scanned = n;
   return r;
-}
-
-// ---------------------------------------------------------------------------
-// AVX2 backend: one 8 x int32 vector per block, the same block-boundary
-// early-exit semantics as the portable loops above. Compiled with a target
-// attribute so the TU itself needs no -mavx2; only runs after
-// __builtin_cpu_supports("avx2") says the ISA exists.
-// ---------------------------------------------------------------------------
-
-#if GTPAR_BATCH_HAVE_AVX2
-
-__attribute__((target("avx2"))) Value hmax8(__m256i x) noexcept {
-  __m128i m = _mm_max_epi32(_mm256_castsi256_si128(x),
-                            _mm256_extracti128_si256(x, 1));
-  m = _mm_max_epi32(m, _mm_shuffle_epi32(m, _MM_SHUFFLE(1, 0, 3, 2)));
-  m = _mm_max_epi32(m, _mm_shuffle_epi32(m, _MM_SHUFFLE(2, 3, 0, 1)));
-  return _mm_cvtsi128_si32(m);
-}
-
-__attribute__((target("avx2"))) Value hmin8(__m256i x) noexcept {
-  __m128i m = _mm_min_epi32(_mm256_castsi256_si128(x),
-                            _mm256_extracti128_si256(x, 1));
-  m = _mm_min_epi32(m, _mm_shuffle_epi32(m, _MM_SHUFFLE(1, 0, 3, 2)));
-  m = _mm_min_epi32(m, _mm_shuffle_epi32(m, _MM_SHUFFLE(2, 3, 0, 1)));
-  return _mm_cvtsi128_si32(m);
-}
-
-__attribute__((target("avx2"))) BatchReduce batch_max_avx2(
-    const Value* v, std::uint32_t n, Value bound) noexcept {
-  BatchReduce r{kMinusInf, 0, false};
-  std::uint32_t i = 0;
-  if (n - i >= kBatchBlock) {
-    __m256i acc = _mm256_set1_epi32(kMinusInf);
-    const __m256i vbound = _mm256_set1_epi32(bound);
-    while (n - i >= kBatchBlock) {
-      const __m256i block =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
-      acc = _mm256_max_epi32(acc, block);
-      i += kBatchBlock;
-      // Cutoff iff some lane of the prefix max reaches bound, i.e. NOT
-      // every lane satisfies bound > lane.
-      const int below =
-          _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpgt_epi32(vbound, acc)));
-      if (below != 0xFF) {
-        r.best = hmax8(acc);
-        r.scanned = i;
-        r.cutoff = true;
-        return r;
-      }
-    }
-    r.best = hmax8(acc);
-  }
-  for (; i < n; ++i) {
-    if (v[i] > r.best) r.best = v[i];
-    if (r.best >= bound) {
-      r.scanned = i + 1;
-      r.cutoff = true;
-      return r;
-    }
-  }
-  r.scanned = n;
-  return r;
-}
-
-__attribute__((target("avx2"))) BatchReduce batch_min_avx2(
-    const Value* v, std::uint32_t n, Value bound) noexcept {
-  BatchReduce r{kPlusInf, 0, false};
-  std::uint32_t i = 0;
-  if (n - i >= kBatchBlock) {
-    __m256i acc = _mm256_set1_epi32(kPlusInf);
-    const __m256i vbound = _mm256_set1_epi32(bound);
-    while (n - i >= kBatchBlock) {
-      const __m256i block =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
-      acc = _mm256_min_epi32(acc, block);
-      i += kBatchBlock;
-      // Cutoff iff some lane of the prefix min falls to bound, i.e. NOT
-      // every lane satisfies lane > bound.
-      const int above =
-          _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpgt_epi32(acc, vbound)));
-      if (above != 0xFF) {
-        r.best = hmin8(acc);
-        r.scanned = i;
-        r.cutoff = true;
-        return r;
-      }
-    }
-    r.best = hmin8(acc);
-  }
-  for (; i < n; ++i) {
-    if (v[i] < r.best) r.best = v[i];
-    if (r.best <= bound) {
-      r.scanned = i + 1;
-      r.cutoff = true;
-      return r;
-    }
-  }
-  r.scanned = n;
-  return r;
-}
-
-__attribute__((target("avx2"))) BatchNor batch_nor_any_avx2(
-    const Value* v, std::uint32_t n) noexcept {
-  BatchNor r{false, 0};
-  std::uint32_t i = 0;
-  const __m256i zero = _mm256_setzero_si256();
-  while (n - i >= kBatchBlock) {
-    const __m256i block =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
-    i += kBatchBlock;
-    const int is_zero =
-        _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(block, zero)));
-    if (is_zero != 0xFF) {
-      r.any_one = true;
-      r.scanned = i;
-      return r;
-    }
-  }
-  for (; i < n; ++i) {
-    if (v[i] != 0) {
-      r.any_one = true;
-      r.scanned = i + 1;
-      return r;
-    }
-  }
-  r.scanned = n;
-  return r;
-}
-
-#endif  // GTPAR_BATCH_HAVE_AVX2
-
-// ---------------------------------------------------------------------------
-// Runtime dispatch. Hardware support is probed once; the force-scalar flag
-// (env var at startup, set_batch_force_scalar afterwards) is re-read on
-// every call so tests can flip backends between invocations.
-// ---------------------------------------------------------------------------
-
-bool env_force_scalar() noexcept {
-  const char* e = std::getenv("GTPAR_FORCE_SCALAR");
-  return e != nullptr && e[0] != '\0' && e[0] != '0';
-}
-
-std::atomic<bool>& force_scalar_flag() noexcept {
-  static std::atomic<bool> flag{env_force_scalar()};
-  return flag;
-}
-
-bool avx2_available() noexcept {
-#if GTPAR_BATCH_HAVE_AVX2
-  static const bool have = __builtin_cpu_supports("avx2");
-  return have;
-#else
-  return false;
-#endif
-}
-
-bool use_avx2() noexcept {
-  return avx2_available() && !force_scalar_flag().load(std::memory_order_relaxed);
-}
-
-}  // namespace
-
-BatchReduce batch_max(const Value* v, std::uint32_t n, Value bound) noexcept {
-#if GTPAR_BATCH_HAVE_AVX2
-  if (use_avx2()) return batch_max_avx2(v, n, bound);
-#endif
-  return batch_max_scalar(v, n, bound);
-}
-
-BatchReduce batch_min(const Value* v, std::uint32_t n, Value bound) noexcept {
-#if GTPAR_BATCH_HAVE_AVX2
-  if (use_avx2()) return batch_min_avx2(v, n, bound);
-#endif
-  return batch_min_scalar(v, n, bound);
-}
-
-BatchNor batch_nor_any(const Value* v, std::uint32_t n) noexcept {
-#if GTPAR_BATCH_HAVE_AVX2
-  if (use_avx2()) return batch_nor_any_avx2(v, n);
-#endif
-  return batch_nor_any_scalar(v, n);
-}
-
-BatchBackend batch_backend() noexcept {
-  return use_avx2() ? BatchBackend::kAvx2 : BatchBackend::kScalar;
-}
-
-const char* batch_backend_name() noexcept {
-  return use_avx2() ? "avx2" : "scalar";
-}
-
-void set_batch_force_scalar(bool force) noexcept {
-  force_scalar_flag().store(force, std::memory_order_relaxed);
 }
 
 }  // namespace gtpar

@@ -7,8 +7,8 @@
 // reduce such a slice with wide min/max/NOR loops instead of one stack
 // frame + one context call per child.
 //
-// Two backends share ONE canonical early-exit semantic so they are
-// bit-identical in (best, scanned, cutoff):
+// Every reduction follows ONE canonical early-exit semantic, which
+// test_batch_kernels.cpp re-implements as a reference model:
 //
 //   - full blocks of kBatchBlock (= 8) elements are folded into the running
 //     reduction, and the early-exit condition (alpha-beta bound tripped,
@@ -24,14 +24,6 @@
 // distinct so the differential oracle's work interval
 // [certificate, num_leaves] still holds, and exact (no-cutoff) results are
 // unaffected because they always scan the full span.
-//
-// Backends:
-//   - portable: plain C++ written so the compiler can auto-vectorize the
-//     full-block inner loop (no early exit inside a block);
-//   - AVX2: 8 x int32 per iteration behind runtime dispatch
-//     (__builtin_cpu_supports). GTPAR_FORCE_SCALAR=1 in the environment —
-//     or set_batch_force_scalar(true) programmatically — pins the portable
-//     path, which is how CI cross-checks both dispatch paths.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +32,7 @@
 
 namespace gtpar {
 
-/// Early-exit granularity shared by every backend (elements per block).
+/// Early-exit granularity (elements per block).
 inline constexpr std::uint32_t kBatchBlock = 8;
 
 /// Result of a bounded max/min reduction over a leaf-value span.
@@ -69,15 +61,5 @@ BatchReduce batch_min(const Value* v, std::uint32_t n, Value bound) noexcept;
 /// NOR short-circuit scan of v[0..n): stop as soon as a nonzero element is
 /// known to exist. The parent NOR node's value is !any_one.
 BatchNor batch_nor_any(const Value* v, std::uint32_t n) noexcept;
-
-/// Which backend the next batch_* call will take.
-enum class BatchBackend : std::uint8_t { kScalar, kAvx2 };
-BatchBackend batch_backend() noexcept;
-const char* batch_backend_name() noexcept;
-
-/// Programmatic equivalent of GTPAR_FORCE_SCALAR=1 (tests and the fuzzer's
-/// --force-scalar lane toggle this per run). Takes effect on the next
-/// batch_* call; safe to flip between calls from one thread.
-void set_batch_force_scalar(bool force) noexcept;
 
 }  // namespace gtpar

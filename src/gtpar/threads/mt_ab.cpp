@@ -7,7 +7,6 @@
 #include <thread>
 #include <vector>
 
-#include "gtpar/engine/api.hpp"
 #include "gtpar/engine/granularity.hpp"
 #include "gtpar/engine/tt.hpp"
 #include "gtpar/solve/flat_kernels.hpp"
@@ -387,70 +386,14 @@ MtAbResult mt_parallel_ab(const Tree& t, const MtAbOptions& opt, Executor& exec,
 
 MtAbResult mt_sequential_ab(const Tree& t, const MtAbOptions& opt,
                             const SearchLimits& limits) {
-  class NullExecutor final : public Executor {
-   public:
-    void submit(std::function<void()> task) override { task(); }
-    unsigned workers() const noexcept override { return 0; }
-  } null_exec;
-  AbShared sh(t, opt, null_exec, limits);
+  InlineExecutor inline_exec;
+  AbShared sh(t, opt, inline_exec, limits);
   std::atomic<bool> never{false};
   const auto start = std::chrono::steady_clock::now();
   bool exact = false;
   const Value v =
       seq_ab(sh, t.root(), kMinusInf, kPlusInf, nullptr, true, never, exact);
   return finish_result(sh, v, start);
-}
-
-MtAbResult mt_sequential_ab(const Tree& t, std::uint64_t leaf_cost_ns,
-                            LeafCostModel cost_model, const SearchLimits& limits) {
-  MtAbOptions opt;
-  opt.leaf_cost_ns = leaf_cost_ns;
-  opt.cost_model = cost_model;
-  return mt_sequential_ab(t, opt, limits);
-}
-
-// --- Deprecated self-scheduling wrappers (façade-backed). -------------------
-
-namespace {
-
-MtAbResult ab_from_search_result(const SearchResult& r) {
-  MtAbResult out;
-  out.value = r.value;
-  out.leaf_evaluations = r.work;
-  out.wall_ns = r.wall_ns;
-  out.complete = r.complete;
-  out.completeness = r.completeness;
-  out.retries = r.retries;
-  out.faults = r.faults;
-  return out;
-}
-
-}  // namespace
-
-MtAbResult mt_parallel_ab(const Tree& t, const MtAbOptions& opt) {
-  SearchRequest req;
-  req.tree = &t;
-  req.algorithm = Algorithm::kMtParallelAb;
-  req.threads = opt.threads;
-  req.width = opt.width;
-  req.leaf_cost_ns = opt.leaf_cost_ns;
-  req.cost_model = opt.cost_model;
-  req.promotion = opt.promotion;
-  req.grain = opt.grain_ns;
-  req.tt = opt.tt;
-  req.leaf_hook = opt.leaf_hook;
-  req.retry = opt.retry;
-  return ab_from_search_result(search(req));
-}
-
-MtAbResult mt_sequential_ab(const Tree& t, std::uint64_t leaf_cost_ns,
-                            LeafCostModel cost_model) {
-  SearchRequest req;
-  req.tree = &t;
-  req.algorithm = Algorithm::kMtSequentialAb;
-  req.leaf_cost_ns = leaf_cost_ns;
-  req.cost_model = cost_model;
-  return ab_from_search_result(search(req));
 }
 
 }  // namespace gtpar

@@ -13,11 +13,9 @@
 // r such that r <= a0 implies val <= r (discardable, since the live alpha
 // only grew), r >= b implies a cutoff, and otherwise r is exact.
 //
-// As with mt_solve.hpp there are two entry styles: the core overloads run
-// on a caller-supplied Executor with SearchLimits (this is what the
-// batched engine uses, many trees at a time on one work-stealing
-// scheduler), and the original self-scheduling entrypoints remain as
-// DEPRECATED thin wrappers over the unified façade (engine/api.hpp).
+// As in mt_solve.hpp, the parallel core runs on a caller-supplied
+// Executor with SearchLimits (the batched engine runs many trees at a
+// time on its one work-stealing pool).
 #pragma once
 
 #include <cstdint>
@@ -32,8 +30,6 @@ namespace gtpar {
 class TranspositionTable;  // engine/tt.hpp
 
 struct MtAbOptions {
-  /// Ignored by the Executor-taking core (the scheduler's size rules).
-  unsigned threads = 4;
   std::uint64_t leaf_cost_ns = 2000;
   LeafCostModel cost_model = LeafCostModel::kSpin;
   /// Promotion (the paper's P-SOLVE case two): when the spine catches up
@@ -83,30 +79,14 @@ struct MtAbResult {
   std::uint64_t faults = 0;
 };
 
-/// Core: cascading parallel alpha-beta with scouts on `exec`. Safe to run
-/// many instances concurrently on one shared executor.
+/// Cascading parallel alpha-beta with scouts on `exec`. Safe to run many
+/// instances concurrently on one shared executor.
 MtAbResult mt_parallel_ab(const Tree& t, const MtAbOptions& opt, Executor& exec,
                           const SearchLimits& limits = {});
 
-/// Core: single-threaded alpha-beta with the same leaf-cost model and
-/// limits.
-MtAbResult mt_sequential_ab(const Tree& t, std::uint64_t leaf_cost_ns,
-                            LeafCostModel cost_model, const SearchLimits& limits);
-
-/// Core: as above with the full option set (leaf hook, retry policy) —
-/// what the façade's kMtSequentialAb entry dispatches to. threads, width,
-/// and promotion are ignored.
+/// Single-threaded alpha-beta with the same leaf-cost model, leaf hook,
+/// table and limits. width and promotion are ignored.
 MtAbResult mt_sequential_ab(const Tree& t, const MtAbOptions& opt,
-                            const SearchLimits& limits);
-
-/// DEPRECATED self-scheduling entrypoint: thin wrapper over gtpar::search
-/// with Algorithm::kMtParallelAb (work-stealing scheduler of opt.threads
-/// workers).
-MtAbResult mt_parallel_ab(const Tree& t, const MtAbOptions& opt = {});
-
-/// DEPRECATED: thin wrapper over gtpar::search with
-/// Algorithm::kMtSequentialAb.
-MtAbResult mt_sequential_ab(const Tree& t, std::uint64_t leaf_cost_ns = 2000,
-                            LeafCostModel cost_model = LeafCostModel::kSpin);
+                            const SearchLimits& limits = {});
 
 }  // namespace gtpar

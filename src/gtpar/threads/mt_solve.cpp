@@ -6,7 +6,6 @@
 #include <thread>
 #include <vector>
 
-#include "gtpar/engine/api.hpp"
 #include "gtpar/engine/granularity.hpp"
 #include "gtpar/solve/flat_kernels.hpp"
 
@@ -320,68 +319,13 @@ MtSolveResult mt_parallel_solve(const Tree& t, const MtSolveOptions& opt,
 MtSolveResult mt_sequential_solve(const Tree& t, const MtSolveOptions& opt,
                                   const SearchLimits& limits) {
   // The sequential baseline spawns no scouts, so any executor satisfies
-  // it; use a null one to keep the run strictly single-threaded.
-  class NullExecutor final : public Executor {
-   public:
-    void submit(std::function<void()> task) override { task(); }
-    unsigned workers() const noexcept override { return 0; }
-  } null_exec;
-  Shared sh(t, opt, null_exec, limits);
+  // it; an inline one keeps the run strictly single-threaded.
+  InlineExecutor inline_exec;
+  Shared sh(t, opt, inline_exec, limits);
   std::atomic<bool> never{false};
   const auto start = std::chrono::steady_clock::now();
   const bool value = sh.ssolve(t.root(), never);
   return finish(sh, value, start);
-}
-
-MtSolveResult mt_sequential_solve(const Tree& t, std::uint64_t leaf_cost_ns,
-                                  LeafCostModel cost_model,
-                                  const SearchLimits& limits) {
-  MtSolveOptions opt;
-  opt.leaf_cost_ns = leaf_cost_ns;
-  opt.cost_model = cost_model;
-  return mt_sequential_solve(t, opt, limits);
-}
-
-// --- Deprecated self-scheduling wrappers (façade-backed). -------------------
-
-namespace {
-
-MtSolveResult from_search_result(const SearchResult& r) {
-  MtSolveResult out;
-  out.value = r.value != 0;
-  out.leaf_evaluations = r.work;
-  out.wall_ns = r.wall_ns;
-  out.complete = r.complete;
-  out.completeness = r.completeness;
-  out.retries = r.retries;
-  out.faults = r.faults;
-  return out;
-}
-
-}  // namespace
-
-MtSolveResult mt_parallel_solve(const Tree& t, const MtSolveOptions& opt) {
-  SearchRequest req;
-  req.tree = &t;
-  req.algorithm = Algorithm::kMtParallelSolve;
-  req.threads = opt.threads;
-  req.width = opt.width;
-  req.leaf_cost_ns = opt.leaf_cost_ns;
-  req.cost_model = opt.cost_model;
-  req.grain = opt.grain_ns;
-  req.leaf_hook = opt.leaf_hook;
-  req.retry = opt.retry;
-  return from_search_result(search(req));
-}
-
-MtSolveResult mt_sequential_solve(const Tree& t, std::uint64_t leaf_cost_ns,
-                                  LeafCostModel cost_model) {
-  SearchRequest req;
-  req.tree = &t;
-  req.algorithm = Algorithm::kMtSequentialSolve;
-  req.leaf_cost_ns = leaf_cost_ns;
-  req.cost_model = cost_model;
-  return from_search_result(search(req));
 }
 
 }  // namespace gtpar

@@ -23,15 +23,11 @@
 // the run degenerates to memory traffic and speed-ups vanish, exactly as
 // one would expect.
 //
-// Two entry styles:
-//  - The *core* overloads take an Executor (any scheduler implementing
-//    engine/executor.hpp — the engine runs them on its shared
-//    work-stealing pool so many trees can be in flight at once) and
-//    SearchLimits (cooperative cancellation + wall-clock budget).
-//  - The original self-scheduling entrypoints are retained as thin
-//    wrappers over the unified façade (engine/api.hpp), which dispatches
-//    them onto a private work-stealing scheduler. DEPRECATED: new code
-//    should use gtpar::search / gtpar::Engine directly.
+// The parallel core takes the Executor its scouts run on (a caller-owned
+// WorkStealingPool, or the Engine's shared one so many trees can be in
+// flight at once) and SearchLimits (cooperative cancellation + wall-clock
+// budget). Callers that want the scheduler managed for them go through
+// gtpar::search (engine/api.hpp) or gtpar::Engine.
 #pragma once
 
 #include <atomic>
@@ -52,10 +48,6 @@ enum class LeafCostModel : std::uint8_t {
 };
 
 struct MtSolveOptions {
-  /// Worker threads for scouts (the spine runs on the calling thread).
-  /// The width-1 cascade uses at most height(T) concurrent scouts.
-  /// Ignored by the Executor-taking core (the scheduler's size rules).
-  unsigned threads = 4;
   /// Simulated cost of one leaf evaluation in nanoseconds.
   std::uint64_t leaf_cost_ns = 2000;
   LeafCostModel cost_model = LeafCostModel::kSpin;
@@ -96,31 +88,16 @@ struct MtSolveResult {
   std::uint64_t faults = 0;
 };
 
-/// Core: width-w Parallel SOLVE with scouts on `exec`. Safe to run many
-/// instances concurrently on one shared executor.
+/// Width-w Parallel SOLVE with scouts on `exec` (the spine runs on the
+/// calling thread). Safe to run many instances concurrently on one shared
+/// executor.
 MtSolveResult mt_parallel_solve(const Tree& t, const MtSolveOptions& opt,
                                 Executor& exec, const SearchLimits& limits = {});
 
-/// Core: single-threaded Sequential SOLVE with the same leaf-cost model
-/// and limits, for apples-to-apples wall-clock baselines.
-MtSolveResult mt_sequential_solve(const Tree& t, std::uint64_t leaf_cost_ns,
-                                  LeafCostModel cost_model,
-                                  const SearchLimits& limits);
-
-/// Core: as above with the full option set (leaf hook, retry policy) —
-/// what the façade's kMtSequentialSolve entry dispatches to. threads and
-/// width are ignored.
+/// Single-threaded Sequential SOLVE with the same leaf-cost model, leaf
+/// hook and limits, for apples-to-apples wall-clock baselines. width is
+/// ignored.
 MtSolveResult mt_sequential_solve(const Tree& t, const MtSolveOptions& opt,
-                                  const SearchLimits& limits);
-
-/// DEPRECATED self-scheduling entrypoint: thin wrapper over the unified
-/// façade (gtpar::search with Algorithm::kMtParallelSolve), which runs the
-/// cascade on a work-stealing scheduler of opt.threads workers.
-MtSolveResult mt_parallel_solve(const Tree& t, const MtSolveOptions& opt = {});
-
-/// DEPRECATED: thin wrapper over gtpar::search with
-/// Algorithm::kMtSequentialSolve.
-MtSolveResult mt_sequential_solve(const Tree& t, std::uint64_t leaf_cost_ns = 2000,
-                                  LeafCostModel cost_model = LeafCostModel::kSpin);
+                                  const SearchLimits& limits = {});
 
 }  // namespace gtpar

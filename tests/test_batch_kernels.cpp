@@ -1,14 +1,9 @@
 // Batch leaf reductions (solve/batch_kernels.hpp): the SoA kernels that
-// floor the flat searches at leaf-frontier nodes. Two contracts are pinned
-// here. First, semantics: every backend implements the canonical
-// block-of-kBatchBlock early-exit reduction — full blocks folded with no
-// intra-block exit, the cutoff test applied to the accumulated prefix at
-// block boundaries, the ragged tail element-wise — which a straight-line
-// reference model re-implements below. Second, dispatch: the vector and
-// forced-scalar backends are bit-identical in (best, scanned, cutoff) on
-// arbitrary spans, so GTPAR_FORCE_SCALAR (and the CI release-scalar leg)
-// can never change a search result. On hardware without AVX2 the two legs
-// collapse to the same scalar code and the comparisons hold trivially.
+// floor the flat searches at leaf-frontier nodes. The kernels implement
+// the canonical block-of-kBatchBlock early-exit reduction — full blocks
+// folded with no intra-block exit, the cutoff test applied to the
+// accumulated prefix at block boundaries, the ragged tail element-wise —
+// which a straight-line reference model re-implements below.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -105,15 +100,6 @@ BatchNor ref_nor(const std::vector<Value>& v) {
   return r;
 }
 
-/// RAII: force the scalar backend for one scope, restore on exit. Every
-/// test that flips the flag goes through this so a failing assertion can
-/// never leak scalar mode into later tests.
-class ScopedScalar {
- public:
-  ScopedScalar() { set_batch_force_scalar(true); }
-  ~ScopedScalar() { set_batch_force_scalar(false); }
-};
-
 /// Randomized spans that concentrate on the interesting boundaries: empty,
 /// single element, one-below/at/one-above a block multiple, and long.
 std::vector<Value> random_span(std::mt19937_64& rng, bool extremes) {
@@ -125,8 +111,7 @@ std::vector<Value> random_span(std::mt19937_64& rng, bool extremes) {
   for (auto& x : v) x = dist(rng);
   if (extremes && n > 0) {
     // Sprinkle sentinel extremes: the kernels must not wrap or saturate
-    // around the +-inf sentinels (the AVX2 path compares accumulated
-    // lanes against the bound rather than bound+-1 precisely for this).
+    // around the +-inf sentinels.
     for (int k = 0; k < 3; ++k) {
       v[rng() % n] = (rng() & 1) ? kPlusInf : kMinusInf;
     }
@@ -149,17 +134,11 @@ TEST(BatchKernels, MaxMatchesReferenceOnBothBackends) {
     const std::vector<Value> v = random_span(rng, iter % 2 == 0);
     const Value bound = random_bound(rng);
     const BatchReduce want = ref_max(v, bound);
-    const BatchReduce native =
+    const BatchReduce got =
         batch_max(v.data(), static_cast<std::uint32_t>(v.size()), bound);
-    EXPECT_EQ(native.best, want.best) << "iter " << iter;
-    EXPECT_EQ(native.scanned, want.scanned) << "iter " << iter;
-    EXPECT_EQ(native.cutoff, want.cutoff) << "iter " << iter;
-    ScopedScalar scalar;
-    const BatchReduce s =
-        batch_max(v.data(), static_cast<std::uint32_t>(v.size()), bound);
-    EXPECT_EQ(s.best, native.best) << "iter " << iter;
-    EXPECT_EQ(s.scanned, native.scanned) << "iter " << iter;
-    EXPECT_EQ(s.cutoff, native.cutoff) << "iter " << iter;
+    EXPECT_EQ(got.best, want.best) << "iter " << iter;
+    EXPECT_EQ(got.scanned, want.scanned) << "iter " << iter;
+    EXPECT_EQ(got.cutoff, want.cutoff) << "iter " << iter;
   }
 }
 
@@ -169,17 +148,11 @@ TEST(BatchKernels, MinMatchesReferenceOnBothBackends) {
     const std::vector<Value> v = random_span(rng, iter % 2 == 0);
     const Value bound = random_bound(rng);
     const BatchReduce want = ref_min(v, bound);
-    const BatchReduce native =
+    const BatchReduce got =
         batch_min(v.data(), static_cast<std::uint32_t>(v.size()), bound);
-    EXPECT_EQ(native.best, want.best) << "iter " << iter;
-    EXPECT_EQ(native.scanned, want.scanned) << "iter " << iter;
-    EXPECT_EQ(native.cutoff, want.cutoff) << "iter " << iter;
-    ScopedScalar scalar;
-    const BatchReduce s =
-        batch_min(v.data(), static_cast<std::uint32_t>(v.size()), bound);
-    EXPECT_EQ(s.best, native.best) << "iter " << iter;
-    EXPECT_EQ(s.scanned, native.scanned) << "iter " << iter;
-    EXPECT_EQ(s.cutoff, native.cutoff) << "iter " << iter;
+    EXPECT_EQ(got.best, want.best) << "iter " << iter;
+    EXPECT_EQ(got.scanned, want.scanned) << "iter " << iter;
+    EXPECT_EQ(got.cutoff, want.cutoff) << "iter " << iter;
   }
 }
 
@@ -192,15 +165,10 @@ TEST(BatchKernels, NorMatchesReferenceOnBothBackends) {
     const bool all_zero = (rng() & 1) != 0;
     for (auto& x : v) x = all_zero ? 0 : Value(rng() % 4 == 0);
     const BatchNor want = ref_nor(v);
-    const BatchNor native =
+    const BatchNor got =
         batch_nor_any(v.data(), static_cast<std::uint32_t>(v.size()));
-    EXPECT_EQ(native.any_one, want.any_one) << "iter " << iter;
-    EXPECT_EQ(native.scanned, want.scanned) << "iter " << iter;
-    ScopedScalar scalar;
-    const BatchNor s =
-        batch_nor_any(v.data(), static_cast<std::uint32_t>(v.size()));
-    EXPECT_EQ(s.any_one, native.any_one) << "iter " << iter;
-    EXPECT_EQ(s.scanned, native.scanned) << "iter " << iter;
+    EXPECT_EQ(got.any_one, want.any_one) << "iter " << iter;
+    EXPECT_EQ(got.scanned, want.scanned) << "iter " << iter;
   }
 }
 
@@ -226,19 +194,6 @@ TEST(BatchKernels, EmptyAndDegenerateSpans) {
   EXPECT_TRUE(batch_min(&one_lo, 1, kMinusInf).cutoff);
   EXPECT_FALSE(batch_min(&one_hi, 1, kMinusInf).cutoff);
   EXPECT_EQ(batch_min(&one_hi, 1, kMinusInf).best, kPlusInf);
-}
-
-TEST(BatchKernels, BackendReportsForcedScalar) {
-  // The dispatcher must honour the force flag immediately (it is re-read
-  // per call), whatever the hardware offers.
-  {
-    ScopedScalar scalar;
-    EXPECT_EQ(batch_backend(), BatchBackend::kScalar);
-    EXPECT_STREQ(batch_backend_name(), "scalar");
-  }
-  // Unforced: whichever the CPU supports — just require self-consistency.
-  const bool avx2 = batch_backend() == BatchBackend::kAvx2;
-  EXPECT_STREQ(batch_backend_name(), avx2 ? "avx2" : "scalar");
 }
 
 // --- Tree-level properties: the batch-floored flat kernels. -----------------
@@ -267,15 +222,7 @@ TEST(BatchFlatSolve, RaggedShapesBothBackends) {
   p.n_max = 6;
   for (std::uint64_t seed = 0; seed < 40; ++seed) {
     const Tree t = make_random_shape_nor(p, 0.55, seed);
-    const bool want = nor_value(t);
-    const FlatSolveRun native = flat_solve_batch(t);
-    EXPECT_EQ(native.value, want) << "seed " << seed;
-    ScopedScalar scalar;
-    const FlatSolveRun s = flat_solve_batch(t);
-    EXPECT_EQ(s.value, want) << "seed " << seed;
-    // Scalar and vector backends early-exit at the same block boundary,
-    // so even the scanned-leaf counts must agree exactly.
-    EXPECT_EQ(s.leaves_evaluated, native.leaves_evaluated) << "seed " << seed;
+    EXPECT_EQ(flat_solve_batch(t).value, nor_value(t)) << "seed " << seed;
   }
 }
 
@@ -305,13 +252,8 @@ TEST(BatchFlatAb, RaggedShapesBothBackends) {
   p.n_max = 6;
   for (std::uint64_t seed = 0; seed < 40; ++seed) {
     const Tree t = make_random_shape_minimax(p, -50, 50, seed);
-    const Value want = minimax_value(t);
-    const FlatAbRun native = flat_alphabeta_batch(t);
-    EXPECT_EQ(native.value, want) << "seed " << seed;
-    ScopedScalar scalar;
-    const FlatAbRun s = flat_alphabeta_batch(t);
-    EXPECT_EQ(s.value, want) << "seed " << seed;
-    EXPECT_EQ(s.leaves_evaluated, native.leaves_evaluated) << "seed " << seed;
+    EXPECT_EQ(flat_alphabeta_batch(t).value, minimax_value(t))
+        << "seed " << seed;
   }
 }
 

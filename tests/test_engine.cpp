@@ -1,7 +1,6 @@
-// Tests for the engine layer: the work-stealing scheduler, the bounded
-// legacy ThreadPool, the unified search façade, and the batched Engine
-// (concurrent requests, cancellation, budgets, determinism under
-// stealing).
+// Tests for the engine layer: the work-stealing scheduler, the unified
+// search façade, and the batched Engine (concurrent requests,
+// cancellation, budgets, determinism under stealing).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,8 +13,6 @@
 #include "gtpar/engine/api.hpp"
 #include "gtpar/engine/engine.hpp"
 #include "gtpar/engine/work_stealing.hpp"
-#include "gtpar/threads/mt_ab.hpp"
-#include "gtpar/threads/thread_pool.hpp"
 #include "gtpar/tree/generators.hpp"
 #include "gtpar/tree/values.hpp"
 
@@ -85,44 +82,6 @@ TEST(WorkStealingPool, CallerRunsWhenInjectionQueueOverflows) {
   EXPECT_EQ(count.load(), 200);
 }
 
-// --- Bounded legacy ThreadPool (the submit() footgun fix). ------------------
-
-TEST(ThreadPool, UnboundedModeRunsEverything) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(3);
-    for (int i = 0; i < 500; ++i)
-      pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  EXPECT_EQ(count.load(), 500);
-}
-
-TEST(ThreadPool, BoundedModeCallerRunsInsteadOfGrowing) {
-  ThreadPool::Options opt;
-  opt.threads = 1;
-  opt.max_queue = 4;
-  std::atomic<int> count{0};
-  std::atomic<int> worker_blocked{0};
-  {
-    ThreadPool pool(opt);
-    // Park the single worker so the queue must fill.
-    pool.submit([&] {
-      worker_blocked.store(1);
-      while (worker_blocked.load() != 2) std::this_thread::yield();
-    });
-    while (worker_blocked.load() != 1) std::this_thread::yield();
-    for (int i = 0; i < 100; ++i)
-      pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-    // The queue never exceeds the bound: at least 100 - 4 of those ran on
-    // this thread (caller-runs), synchronously, before we get here.
-    EXPECT_LE(pool.pending(), std::size_t{4});
-    EXPECT_GE(pool.caller_runs(), std::uint64_t{96});
-    EXPECT_GE(count.load(), 96);
-    worker_blocked.store(2);
-  }
-  EXPECT_EQ(count.load(), 100);
-}
-
 // --- Façade. ----------------------------------------------------------------
 
 TEST(SearchFacade, MatchesGroundTruthAcrossAlgorithms) {
@@ -158,24 +117,6 @@ TEST(SearchFacade, ThrowsOnMissingWorkload) {
   EXPECT_THROW(search(req), std::invalid_argument);
   req.algorithm = Algorithm::kNSequentialAb;
   EXPECT_THROW(search(req), std::invalid_argument);
-}
-
-TEST(SearchFacade, DeprecatedWrappersAgreeWithFacade) {
-  const Tree t = make_uniform_iid_nor(2, 9, golden_bias(), 3);
-  const auto legacy = mt_parallel_solve(t, MtSolveOptions{4, 0, LeafCostModel::kSpin, 1});
-  SearchRequest req;
-  req.tree = &t;
-  req.algorithm = Algorithm::kMtParallelSolve;
-  req.leaf_cost_ns = 0;
-  const SearchResult r = search(req);
-  EXPECT_EQ(Value{legacy.value ? 1 : 0}, r.value);
-
-  const Tree m = make_uniform_iid_minimax(2, 8, -20, 20, 5);
-  const auto legacy_ab = mt_parallel_ab(m, MtAbOptions{4, 0, LeafCostModel::kSpin, true, 1});
-  req.tree = &m;
-  req.algorithm = Algorithm::kMtParallelAb;
-  const SearchResult rab = search(req);
-  EXPECT_EQ(legacy_ab.value, rab.value);
 }
 
 TEST(SearchFacade, PrincipalVariationOnRequest) {
@@ -239,19 +180,6 @@ TEST(Engine, DeterministicValueUnderStealing) {
     const SearchResult r = eng.run(req);
     ASSERT_EQ(r.value, truth) << "round " << round;
   }
-}
-
-TEST(Engine, GlobalQueueSchedulerProducesSameValues) {
-  const Tree t = make_uniform_iid_nor(2, 10, golden_bias(), 77);
-  const Value truth = nor_value(t) ? 1 : 0;
-  Engine::Options opt;
-  opt.scheduler = Engine::Scheduler::kGlobalQueue;
-  Engine eng(opt);
-  SearchRequest req;
-  req.tree = &t;
-  req.algorithm = Algorithm::kMtParallelSolve;
-  req.leaf_cost_ns = 0;
-  for (int round = 0; round < 5; ++round) EXPECT_EQ(eng.run(req).value, truth);
 }
 
 TEST(Engine, CancellationStopsASlowSearch) {

@@ -1,6 +1,8 @@
-// Real-thread implementations: correctness under concurrency (stress over
-// many seeds and shapes), cancellation/promotion behaviour, and sanity of
-// the work accounting. Wall-clock speed-ups are measured in bench E10.
+// Real-thread implementations: the work-stealing pool's task lifecycle,
+// and the Mt cascades run on a test-owned pool — correctness under
+// concurrency (stress over many seeds and shapes), cancellation/promotion
+// behaviour, and sanity of the work accounting. Wall-clock speed-ups are
+// measured in bench E10.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,26 +14,17 @@
 #include "gtpar/solve/sequential_solve.hpp"
 #include "gtpar/threads/mt_ab.hpp"
 #include "gtpar/threads/mt_solve.hpp"
-#include "gtpar/threads/thread_pool.hpp"
 #include "gtpar/tree/generators.hpp"
 #include "gtpar/tree/values.hpp"
 
 namespace gtpar {
 namespace {
 
-TEST(ThreadPool, RunsAllSubmittedTasks) {
+TEST(WorkStealingPool, AtLeastOneWorker) {
   std::atomic<int> count{0};
   {
-    ThreadPool pool(4);
-    for (int i = 0; i < 1000; ++i) pool.submit([&count] { ++count; });
-  }  // destructor drains
-  EXPECT_EQ(count.load(), 1000);
-}
-
-TEST(ThreadPool, AtLeastOneWorker) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(0);
+    WorkStealingPool pool(0);
+    EXPECT_EQ(pool.workers(), 1u);
     pool.submit([&count] { ++count; });
   }
   EXPECT_EQ(count.load(), 1);
@@ -46,25 +39,25 @@ TEST(ThreadPool, AtLeastOneWorker) {
 // queued tasks, zero-cost leaf storms, promotion on/off) so any future
 // locking regression trips the TSan CI job here first.
 
-TEST(ThreadPool, DestructorDrainsWhileWorkersAreStillClaiming) {
+TEST(WorkStealingPool, DestructorDrainsWhileWorkersAreStillClaiming) {
   // Destroy the pool immediately after a burst of submissions, repeatedly:
   // the shutdown path must observe every queued task exactly once.
   for (int round = 0; round < 50; ++round) {
     std::atomic<int> count{0};
     {
-      ThreadPool pool(4);
+      WorkStealingPool pool(4);
       for (int i = 0; i < 200; ++i) pool.submit([&count] { ++count; });
     }
     ASSERT_EQ(count.load(), 200) << "round " << round;
   }
 }
 
-TEST(ThreadPool, SubmissionFromWorkerThreads) {
-  // Tasks that submit follow-up tasks exercise the queue under concurrent
+TEST(WorkStealingPool, SubmissionFromWorkerThreads) {
+  // Tasks that submit follow-up tasks exercise the deques under concurrent
   // producers; the drain must still run all of them.
   std::atomic<int> count{0};
   {
-    ThreadPool pool(4);
+    WorkStealingPool pool(4);
     for (int i = 0; i < 100; ++i)
       pool.submit([&count, &pool] {
         ++count;
@@ -79,8 +72,8 @@ TEST(ThreadPool, SubmissionFromWorkerThreads) {
 TEST(MtSolve, ZeroCostContentionStorm) {
   // leaf_cost_ns = 0 with many threads and a wide frontier maximizes
   // claim/steal contention; every repeat must agree with ground truth.
+  WorkStealingPool pool(8);
   MtSolveOptions opt;
-  opt.threads = 8;
   opt.leaf_cost_ns = 0;
   opt.width = 3;
   opt.grain_ns = 1;  // always spawn: this test exists to stress the scheduler
@@ -88,14 +81,14 @@ TEST(MtSolve, ZeroCostContentionStorm) {
     const Tree t = make_uniform_iid_nor(3, 6, 0.618, seed);
     const bool truth = nor_value(t);
     for (int rep = 0; rep < 10; ++rep)
-      ASSERT_EQ(mt_parallel_solve(t, opt).value, truth)
+      ASSERT_EQ(mt_parallel_solve(t, opt, pool).value, truth)
           << "seed " << seed << " rep " << rep;
   }
 }
 
 TEST(MtAb, ZeroCostContentionStormWithAndWithoutPromotion) {
+  WorkStealingPool pool(8);
   MtAbOptions opt;
-  opt.threads = 8;
   opt.leaf_cost_ns = 0;
   opt.width = 3;
   opt.grain_ns = 1;  // always spawn: this test exists to stress the scheduler
@@ -105,7 +98,7 @@ TEST(MtAb, ZeroCostContentionStormWithAndWithoutPromotion) {
     for (const bool promo : {true, false}) {
       opt.promotion = promo;
       for (int rep = 0; rep < 10; ++rep)
-        ASSERT_EQ(mt_parallel_ab(t, opt).value, truth)
+        ASSERT_EQ(mt_parallel_ab(t, opt, pool).value, truth)
             << "seed " << seed << " promotion " << promo << " rep " << rep;
     }
   }
@@ -118,11 +111,11 @@ TEST_P(MtSolveSweep, ValueMatchesGroundTruth) {
   const auto [d, n, threads, seed] = GetParam();
   const Tree t = make_uniform_iid_nor(d, n, 0.618, seed);
   const bool truth = nor_value(t);
+  WorkStealingPool pool(threads);
   MtSolveOptions opt;
-  opt.threads = threads;
   opt.leaf_cost_ns = 0;  // stress scheduling, not the spin
   opt.grain_ns = 1;      // always spawn (auto grain would run these inline)
-  const auto r = mt_parallel_solve(t, opt);
+  const auto r = mt_parallel_solve(t, opt, pool);
   EXPECT_EQ(r.value, truth);
   EXPECT_LE(r.leaf_evaluations, t.num_leaves());
   EXPECT_GT(r.leaf_evaluations, 0u);
@@ -138,21 +131,21 @@ TEST(MtSolve, RepeatedRunsAreStable) {
   // Rerun the same instance many times to shake out races.
   const Tree t = make_uniform_iid_nor(2, 10, 0.618, 42);
   const bool truth = nor_value(t);
+  WorkStealingPool pool(8);
   MtSolveOptions opt;
-  opt.threads = 8;
   opt.leaf_cost_ns = 0;
   opt.grain_ns = 1;  // always spawn: races only exist with real scouts
   for (int i = 0; i < 50; ++i) {
-    ASSERT_EQ(mt_parallel_solve(t, opt).value, truth) << "iteration " << i;
+    ASSERT_EQ(mt_parallel_solve(t, opt, pool).value, truth) << "iteration " << i;
   }
 }
 
 TEST(MtSolve, WorstCaseInstance) {
   const Tree t = make_worst_case_nor(2, 10, false);
+  WorkStealingPool pool(8);
   MtSolveOptions opt;
-  opt.threads = 8;
   opt.leaf_cost_ns = 0;
-  const auto r = mt_parallel_solve(t, opt);
+  const auto r = mt_parallel_solve(t, opt, pool);
   EXPECT_EQ(r.value, false);
   EXPECT_EQ(r.leaf_evaluations, t.num_leaves())
       << "the adversarial instance forces every leaf";
@@ -161,34 +154,34 @@ TEST(MtSolve, WorstCaseInstance) {
 TEST(MtSolve, WorkStaysWithinConstantFactorOfSequential) {
   // Corollary 1 in the real-thread setting: total distinct leaves evaluated
   // by the parallel run is at most a small multiple of S(T).
+  WorkStealingPool pool(8);
+  MtSolveOptions opt;
+  opt.leaf_cost_ns = 0;
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
     const Tree t = make_uniform_iid_nor(2, 12, 0.618, seed);
     const std::uint64_t s = sequential_solve_work(t);
-    MtSolveOptions opt;
-    opt.threads = 8;
-    opt.leaf_cost_ns = 0;
-    const auto r = mt_parallel_solve(t, opt);
+    const auto r = mt_parallel_solve(t, opt, pool);
     EXPECT_LE(r.leaf_evaluations, 4 * s + 16) << "seed " << seed;
   }
 }
 
 TEST(MtSolve, SequentialBaselineMatchesModelWork) {
   const Tree t = make_uniform_iid_nor(2, 10, 0.618, 9);
-  const auto r = mt_sequential_solve(t, 0);
+  const auto r = mt_sequential_solve(t, {.leaf_cost_ns = 0});
   EXPECT_EQ(r.value, nor_value(t));
   EXPECT_EQ(r.leaf_evaluations, sequential_solve_work(t));
 }
 
 TEST(MtSolve, HigherWidthsStayCorrect) {
+  WorkStealingPool pool(8);
+  MtSolveOptions opt;
+  opt.leaf_cost_ns = 0;
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     const Tree t = make_uniform_iid_nor(3, 7, 0.5, seed);
     const bool truth = nor_value(t);
     for (unsigned w : {2u, 3u}) {
-      MtSolveOptions opt;
-      opt.threads = 8;
-      opt.leaf_cost_ns = 0;
       opt.width = w;
-      const auto r = mt_parallel_solve(t, opt);
+      const auto r = mt_parallel_solve(t, opt, pool);
       EXPECT_EQ(r.value, truth) << "seed=" << seed << " width=" << w;
       EXPECT_LE(r.leaf_evaluations, t.num_leaves());
     }
@@ -201,12 +194,12 @@ TEST(MtSolve, RaggedTrees) {
   p.d_max = 4;
   p.n_min = 4;
   p.n_max = 8;
+  WorkStealingPool pool(8);
   MtSolveOptions opt;
-  opt.threads = 8;
   opt.leaf_cost_ns = 0;
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     const Tree t = make_random_shape_nor(p, 0.55, seed);
-    EXPECT_EQ(mt_parallel_solve(t, opt).value, nor_value(t)) << "seed " << seed;
+    EXPECT_EQ(mt_parallel_solve(t, opt, pool).value, nor_value(t)) << "seed " << seed;
   }
 }
 
@@ -215,11 +208,11 @@ class MtAbSweep : public ::testing::TestWithParam<MtParams> {};
 TEST_P(MtAbSweep, ValueMatchesGroundTruth) {
   const auto [d, n, threads, seed] = GetParam();
   const Tree t = make_uniform_iid_minimax(d, n, -1000, 1000, seed);
+  WorkStealingPool pool(threads);
   MtAbOptions opt;
-  opt.threads = threads;
   opt.leaf_cost_ns = 0;
   opt.grain_ns = 1;  // always spawn (auto grain would run these inline)
-  const auto r = mt_parallel_ab(t, opt);
+  const auto r = mt_parallel_ab(t, opt, pool);
   EXPECT_EQ(r.value, minimax_value(t));
 }
 
@@ -231,70 +224,70 @@ INSTANTIATE_TEST_SUITE_P(Grid, MtAbSweep,
 
 TEST(MtAb, TiesHeavyStress) {
   // Narrow value ranges maximize dead-window joins; rerun for stability.
+  WorkStealingPool pool(8);
   MtAbOptions opt;
-  opt.threads = 8;
   opt.leaf_cost_ns = 0;
   opt.grain_ns = 1;  // always spawn: dead-window joins need real scouts
   for (std::uint64_t seed = 0; seed < 30; ++seed) {
     const Tree t = make_uniform_iid_minimax(2, 8, 0, 2, seed);
     const Value truth = minimax_value(t);
     for (int rep = 0; rep < 5; ++rep)
-      ASSERT_EQ(mt_parallel_ab(t, opt).value, truth)
+      ASSERT_EQ(mt_parallel_ab(t, opt, pool).value, truth)
           << "seed " << seed << " rep " << rep;
   }
 }
 
 TEST(MtAb, HigherWidthsStayCorrect) {
+  WorkStealingPool pool(8);
   MtAbOptions opt;
-  opt.threads = 8;
   opt.leaf_cost_ns = 0;
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     const Tree t = make_uniform_iid_minimax(3, 6, -100, 100, seed);
     const Value truth = minimax_value(t);
     for (unsigned w : {2u, 3u}) {
       opt.width = w;
-      EXPECT_EQ(mt_parallel_ab(t, opt).value, truth) << "seed=" << seed << " w=" << w;
+      EXPECT_EQ(mt_parallel_ab(t, opt, pool).value, truth) << "seed=" << seed << " w=" << w;
     }
   }
 }
 
 TEST(MtAb, NoPromotionStaysCorrect) {
+  WorkStealingPool pool(8);
   MtAbOptions opt;
-  opt.threads = 8;
   opt.leaf_cost_ns = 0;
   opt.promotion = false;
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     const Tree t = make_uniform_iid_minimax(2, 8, 0, 3, seed);
-    EXPECT_EQ(mt_parallel_ab(t, opt).value, minimax_value(t)) << "seed " << seed;
+    EXPECT_EQ(mt_parallel_ab(t, opt, pool).value, minimax_value(t)) << "seed " << seed;
   }
 }
 
 TEST(MtAb, SequentialBaselineMatchesClassic) {
   const Tree t = make_uniform_iid_minimax(2, 8, 0, 1 << 16, 3);
-  const auto r = mt_sequential_ab(t, 0);
+  const auto r = mt_sequential_ab(t, {.leaf_cost_ns = 0});
   EXPECT_EQ(r.value, minimax_value(t));
 }
 
 TEST(MtAb, OrderedInstances) {
+  WorkStealingPool pool(8);
   MtAbOptions opt;
-  opt.threads = 8;
   opt.leaf_cost_ns = 0;
   for (unsigned n = 2; n <= 8; ++n) {
     const Tree best = make_best_case_minimax(2, n);
-    EXPECT_EQ(mt_parallel_ab(best, opt).value, minimax_value(best)) << "n=" << n;
+    EXPECT_EQ(mt_parallel_ab(best, opt, pool).value, minimax_value(best)) << "n=" << n;
     const Tree worst = make_worst_case_minimax(2, n);
-    EXPECT_EQ(mt_parallel_ab(worst, opt).value, minimax_value(worst)) << "n=" << n;
+    EXPECT_EQ(mt_parallel_ab(worst, opt, pool).value, minimax_value(worst)) << "n=" << n;
   }
 }
 
 TEST(MtAb, RaggedTrees) {
   RandomShapeParams p;
+  WorkStealingPool pool(8);
   MtAbOptions opt;
-  opt.threads = 8;
   opt.leaf_cost_ns = 0;
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     const Tree t = make_random_shape_minimax(p, -50, 50, seed);
-    EXPECT_EQ(mt_parallel_ab(t, opt).value, minimax_value(t)) << "seed " << seed;
+    EXPECT_EQ(mt_parallel_ab(t, opt, pool).value, minimax_value(t)) << "seed " << seed;
   }
 }
 
@@ -351,23 +344,15 @@ TEST(Resilience, PoolSurvivesThrowingScoutAndStaysUsable) {
 
 TEST(Resilience, RawPoolSurvivesThrowingTask) {
   // Containment at the scheduler layer itself: a raw task that throws is
-  // swallowed (and counted), and later tasks still run on every pool kind.
-  {
-    WorkStealingPool pool(2);
-    pool.submit([] { throw std::runtime_error("boom"); });
-    std::atomic<int> count{0};
-    for (int i = 0; i < 100; ++i) pool.submit([&count] { ++count; });
-    while (count.load() < 100) std::this_thread::yield();
-    EXPECT_GE(pool.stats().task_exceptions, 1u);
-  }
-  {
-    ThreadPool pool(2);
-    pool.submit([] { throw std::runtime_error("boom"); });
-    std::atomic<int> count{0};
-    for (int i = 0; i < 100; ++i) pool.submit([&count] { ++count; });
-    while (count.load() < 100) std::this_thread::yield();
-    EXPECT_GE(pool.task_exceptions(), 1u);
-  }
+  // swallowed (and counted), and later tasks still run. One worker drains
+  // the injection queue in FIFO order, so the throwing task — and its
+  // task_exceptions increment — completes before the 100th count.
+  WorkStealingPool pool(1);
+  pool.submit([] { throw std::runtime_error("boom"); });
+  std::atomic<int> count{0};
+  for (int i = 0; i < 100; ++i) pool.submit([&count] { ++count; });
+  while (count.load() < 100) std::this_thread::yield();
+  EXPECT_GE(pool.stats().task_exceptions, 1u);
 }
 
 TEST(Resilience, TransientLeafFaultsAreRetriedToExactness) {

@@ -8,8 +8,7 @@
 //
 // Usage:
 //   fuzz_search [--trees N] [--seed S] [--corpus DIR] [--dump DIR]
-//               [--nor-only | --minimax-only] [--faults] [--force-scalar]
-//               [--quiet]
+//               [--nor-only | --minimax-only] [--faults] [--quiet]
 //
 //   --trees N    number of generated trees per semantics (default 500)
 //   --seed S     first seed of the sweep (default 1); tree i uses seed S+i
@@ -20,11 +19,6 @@
 //                seeded transient+permanent FaultPlan and verify the
 //                resilience contract (retried-exact or consistent anytime
 //                bounds, no escaped fault exceptions)
-//   --force-scalar  pin the batch reductions (solve/batch_kernels.hpp) to
-//                the portable scalar backend, so the flat-solve-batch /
-//                flat-ab-batch registry entries sweep the non-vector
-//                dispatch path (equivalent to GTPAR_FORCE_SCALAR=1; the
-//                default run exercises whichever backend the CPU supports)
 //   --quiet      suppress per-chunk progress lines
 //
 // Exit status: 0 if every corpus case and every generated tree passed the
@@ -42,7 +36,6 @@
 #include "gtpar/check/fuzz.hpp"
 #include "gtpar/check/oracle.hpp"
 #include "gtpar/check/shrink.hpp"
-#include "gtpar/solve/batch_kernels.hpp"
 #include "gtpar/tree/serialization.hpp"
 
 namespace {
@@ -58,15 +51,13 @@ struct Options {
   bool nor = true;
   bool minimax = true;
   bool faults = false;
-  bool force_scalar = false;
   bool quiet = false;
 };
 
 void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--trees N] [--seed S] [--corpus DIR] [--dump DIR]\n"
-               "          [--nor-only | --minimax-only] [--faults]\n"
-               "          [--force-scalar] [--quiet]\n",
+               "          [--nor-only | --minimax-only] [--faults] [--quiet]\n",
                argv0);
 }
 
@@ -104,8 +95,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.nor = false;
     } else if (a == "--faults") {
       opt.faults = true;
-    } else if (a == "--force-scalar") {
-      opt.force_scalar = true;
     } else if (a == "--quiet") {
       opt.quiet = true;
     } else {
@@ -227,9 +216,6 @@ int main(int argc, char** argv) {
     usage(argv[0]);
     return 2;
   }
-  if (opt.force_scalar) set_batch_force_scalar(true);
-  std::fprintf(stderr, "fuzz_search: batch backend: %s\n",
-               batch_backend_name());
   try {
     return run(opt);
   } catch (const std::exception& e) {
