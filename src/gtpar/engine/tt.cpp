@@ -48,7 +48,7 @@ TranspositionTable::TranspositionTable(std::size_t entries, bool huge_pages) {
 }
 
 bool TranspositionTable::probe(std::uint64_t key, Value& out) noexcept {
-  probes_.fetch_add(1, std::memory_order_relaxed);
+  counters_.add(kProbes);
   const Entry& e = slots_[key & mask_];
   // Read order doesn't matter: any torn / mismatched pair fails the
   // checksum. Relaxed is sufficient — the value is validated by content,
@@ -58,10 +58,10 @@ bool TranspositionTable::probe(std::uint64_t key, Value& out) noexcept {
   const std::uint64_t data = e.data.load(std::memory_order_relaxed);
   if ((data & kPresent) == 0) return false;
   if ((check ^ data) != key) {
-    collisions_.fetch_add(1, std::memory_order_relaxed);
+    counters_.add(kCollisions);
     return false;
   }
-  hits_.fetch_add(1, std::memory_order_relaxed);
+  counters_.add(kHits);
   out = unpack_value(data);
   return true;
 }
@@ -78,7 +78,7 @@ void TranspositionTable::store(std::uint64_t key, Value value,
     // Depth-preferred: a heavier same-generation incumbent survives. The
     // incumbent may be a different key — that's the policy working, not a
     // bug: the heavier subtree costs more to recompute.
-    kept_.fetch_add(1, std::memory_order_relaxed);
+    counters_.add(kKept);
     return;
   }
   // Two plain stores; a concurrent probe of a half-written pair fails the
@@ -87,7 +87,7 @@ void TranspositionTable::store(std::uint64_t key, Value value,
   // store — safe, merely a lost entry.
   e.check.store(key ^ data, std::memory_order_relaxed);
   e.data.store(data, std::memory_order_relaxed);
-  stores_.fetch_add(1, std::memory_order_relaxed);
+  counters_.add(kStores);
 }
 
 void TranspositionTable::clear() noexcept {
@@ -100,11 +100,11 @@ void TranspositionTable::clear() noexcept {
 
 TranspositionTable::Stats TranspositionTable::stats() const noexcept {
   Stats s;
-  s.probes = probes_.load(std::memory_order_relaxed);
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.stores = stores_.load(std::memory_order_relaxed);
-  s.collisions = collisions_.load(std::memory_order_relaxed);
-  s.kept = kept_.load(std::memory_order_relaxed);
+  s.probes = counters_.sum(kProbes);
+  s.hits = counters_.sum(kHits);
+  s.stores = counters_.sum(kStores);
+  s.collisions = counters_.sum(kCollisions);
+  s.kept = counters_.sum(kKept);
   return s;
 }
 

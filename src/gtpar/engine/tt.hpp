@@ -40,12 +40,17 @@
 #include <memory>
 
 #include "gtpar/common.hpp"
+#include "gtpar/engine/sharded_counter.hpp"
 
 namespace gtpar {
 
 class TranspositionTable {
  public:
-  /// Monotonic counters (relaxed; read with stats()).
+  /// Monotonic event counters, summed by stats(). Each thread counts into
+  /// its own cache-line shard (sharded_counter.hpp), so probes and stores
+  /// never contend on a shared counter. The sums are exact once the
+  /// probing threads have been joined; read while they run, they are a
+  /// shard-by-shard snapshot.
   struct Stats {
     std::uint64_t probes = 0;
     std::uint64_t hits = 0;
@@ -141,15 +146,18 @@ class TranspositionTable {
     std::size_t bytes;
     void operator()(Entry* p) const noexcept;
   };
+  // Read by every probe and store, written only by the constructor.
   std::unique_ptr<Entry[], AlignedFree> slots_;
   std::uint64_t mask_ = 0;
-  std::atomic<std::uint8_t> gen_{0};
+  // Written once per admitted request: its own line, so the bump does not
+  // invalidate the read-only line above in every worker's cache.
+  alignas(64) std::atomic<std::uint8_t> gen_{0};
 
-  mutable std::atomic<std::uint64_t> probes_{0};
-  mutable std::atomic<std::uint64_t> hits_{0};
-  mutable std::atomic<std::uint64_t> stores_{0};
-  mutable std::atomic<std::uint64_t> collisions_{0};
-  mutable std::atomic<std::uint64_t> kept_{0};
+  // Written on every probe and store, one shard per thread.
+  enum Counter : std::size_t {
+    kProbes, kHits, kStores, kCollisions, kKept, kCounters
+  };
+  ShardedCounters<kCounters> counters_;
 };
 
 }  // namespace gtpar

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "gtpar/engine/granularity.hpp"
+#include "gtpar/engine/sharded_counter.hpp"
 #include "gtpar/engine/tt.hpp"
 #include "gtpar/solve/flat_kernels.hpp"
 
@@ -30,7 +31,10 @@ struct AbShared {
   const MtAbOptions& opt;
   Executor& exec;
   SearchLimits limits;
-  std::atomic<std::uint64_t> leaf_evals{0};
+  /// Paid leaf evaluations. Every worker of the search counts one per
+  /// leaf, so the count is sharded per thread (sharded_counter.hpp) and
+  /// summed once the search has finished.
+  ShardedCounters<1> leaf_evals;
   std::atomic<std::uint64_t> retries{0};
   std::atomic<std::uint64_t> faults{0};
   /// Latched stop: set once cancellation, the deadline, or a permanent
@@ -137,13 +141,13 @@ struct AbShared {
     const Value v = t.leaf_value(leaf);
     if (tt != nullptr) {
       tt->store(TranspositionTable::node_key(fp, leaf), v, 1);
-      leaf_evals.fetch_add(1, std::memory_order_relaxed);
+      leaf_evals.add();
     } else {
       std::int64_t expected = 0;
       if (memo[leaf].compare_exchange_strong(
               expected, kHasBit | static_cast<std::uint32_t>(v),
               std::memory_order_release, std::memory_order_acquire)) {
-        leaf_evals.fetch_add(1, std::memory_order_relaxed);
+        leaf_evals.add();
       }
     }
     out = v;
@@ -352,7 +356,7 @@ MtAbResult finish_result(AbShared& sh, Value v,
   const auto end = std::chrono::steady_clock::now();
   MtAbResult r;
   r.value = v;
-  r.leaf_evaluations = sh.leaf_evals.load();
+  r.leaf_evaluations = sh.leaf_evals.sum();
   r.retries = sh.retries.load();
   r.faults = sh.faults.load();
   r.wall_ns = static_cast<std::uint64_t>(

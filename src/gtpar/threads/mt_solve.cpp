@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "gtpar/engine/granularity.hpp"
+#include "gtpar/engine/sharded_counter.hpp"
 #include "gtpar/solve/flat_kernels.hpp"
 
 namespace gtpar {
@@ -35,7 +36,10 @@ struct Shared {
   Executor& exec;
   SearchLimits limits;
   std::vector<std::atomic<std::int8_t>> val;
-  std::atomic<std::uint64_t> leaf_evals{0};
+  /// Paid leaf evaluations. Every worker of the search counts one per
+  /// leaf, so the count is sharded per thread (sharded_counter.hpp) and
+  /// summed once the search has finished.
+  ShardedCounters<1> leaf_evals;
   std::atomic<std::uint64_t> retries{0};
   std::atomic<std::uint64_t> faults{0};
   /// Latched stop: set once cancellation, the deadline, or a permanent
@@ -116,7 +120,7 @@ struct Shared {
     if (val[leaf].compare_exchange_strong(expected, b ? 1 : 0,
                                           std::memory_order_release,
                                           std::memory_order_acquire)) {
-      leaf_evals.fetch_add(1, std::memory_order_relaxed);
+      leaf_evals.add();
       out = b;
     } else {
       out = expected != 0;  // another thread beat us to it
@@ -284,7 +288,7 @@ MtSolveResult finish(Shared& sh, bool value,
   const auto end = std::chrono::steady_clock::now();
   MtSolveResult r;
   r.value = value;
-  r.leaf_evaluations = sh.leaf_evals.load();
+  r.leaf_evaluations = sh.leaf_evals.sum();
   r.retries = sh.retries.load();
   r.faults = sh.faults.load();
   r.wall_ns = static_cast<std::uint64_t>(

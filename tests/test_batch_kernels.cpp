@@ -128,7 +128,7 @@ Value random_bound(std::mt19937_64& rng) {
 
 // --- Span-level properties. -------------------------------------------------
 
-TEST(BatchKernels, MaxMatchesReferenceOnBothBackends) {
+TEST(BatchKernels, MaxMatchesReference) {
   std::mt19937_64 rng(0xb17c4u);
   for (int iter = 0; iter < 2000; ++iter) {
     const std::vector<Value> v = random_span(rng, iter % 2 == 0);
@@ -142,7 +142,7 @@ TEST(BatchKernels, MaxMatchesReferenceOnBothBackends) {
   }
 }
 
-TEST(BatchKernels, MinMatchesReferenceOnBothBackends) {
+TEST(BatchKernels, MinMatchesReference) {
   std::mt19937_64 rng(0xb17c5u);
   for (int iter = 0; iter < 2000; ++iter) {
     const std::vector<Value> v = random_span(rng, iter % 2 == 0);
@@ -156,7 +156,7 @@ TEST(BatchKernels, MinMatchesReferenceOnBothBackends) {
   }
 }
 
-TEST(BatchKernels, NorMatchesReferenceOnBothBackends) {
+TEST(BatchKernels, NorMatchesReference) {
   std::mt19937_64 rng(0xb17c6u);
   for (int iter = 0; iter < 2000; ++iter) {
     std::vector<Value> v = random_span(rng, false);
@@ -214,7 +214,7 @@ TEST(BatchFlatSolve, MatchesPlainFlatSolveOnGeneratedTrees) {
   }
 }
 
-TEST(BatchFlatSolve, RaggedShapesBothBackends) {
+TEST(BatchFlatSolve, RaggedShapes) {
   RandomShapeParams p;
   p.d_min = 1;
   p.d_max = 12;  // spans well past one block, plus unit-width spines
@@ -244,7 +244,7 @@ TEST(BatchFlatAb, ExactValueOnGeneratedTrees) {
   }
 }
 
-TEST(BatchFlatAb, RaggedShapesBothBackends) {
+TEST(BatchFlatAb, RaggedShapes) {
   RandomShapeParams p;
   p.d_min = 1;
   p.d_max = 12;

@@ -271,7 +271,9 @@ TEST(Engine, CancelRacingDispatchIsDeterministic) {
     job.cancel();
     const SearchResult& r = job.wait();
     EXPECT_EQ(r.complete, r.completeness == Completeness::kExact) << "i=" << i;
-    if (r.complete) EXPECT_EQ(r.value, nor_value(t) ? 1 : 0) << "i=" << i;
+    if (r.complete) {
+      EXPECT_EQ(r.value, nor_value(t) ? 1 : 0) << "i=" << i;
+    }
   }
 }
 

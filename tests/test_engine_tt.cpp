@@ -98,19 +98,16 @@ TEST(TranspositionTable, NodeKeySeparatesFingerprintsAndNodes) {
   EXPECT_NE(b, c);
 }
 
-TEST(TranspositionTable, ConcurrentHammerNeverYieldsTornValues) {
-  // The Hyatt checksum contract: under concurrent stores to a deliberately
-  // tiny (slot-contended) table, every probe hit must return the value that
-  // was stored under that exact key — a torn check/data pair must read as a
-  // miss. Values are derived from keys so a cross-key leak is detectable.
-  TranspositionTable tt(64);
+/// `threads` threads each do 20000 store+probe rounds on `tt`; true when
+/// some probe hit returned a value stored under another key.
+bool hammer(TranspositionTable& tt, unsigned threads) {
   const auto value_of = [](std::uint64_t key) {
     return static_cast<Value>(static_cast<std::uint32_t>(mix64(key)) & 0x7FFFFFFF);
   };
   std::atomic<bool> torn{false};
-  std::vector<std::thread> threads;
-  for (unsigned who = 0; who < 4; ++who) {
-    threads.emplace_back([&, who] {
+  std::vector<std::thread> workers;
+  for (unsigned who = 0; who < threads; ++who) {
+    workers.emplace_back([&, who] {
       for (std::uint64_t i = 0; i < 20000; ++i) {
         const std::uint64_t key =
             TranspositionTable::node_key(who + 1, NodeId(i % 512));
@@ -123,11 +120,29 @@ TEST(TranspositionTable, ConcurrentHammerNeverYieldsTornValues) {
       }
     });
   }
-  for (auto& th : threads) th.join();
-  EXPECT_FALSE(torn.load()) << "a probe returned a value stored under a different key";
-  const auto s = tt.stats();
-  EXPECT_GT(s.probes, 0u);
-  EXPECT_GT(s.stores, 0u);
+  for (auto& th : workers) th.join();
+  return torn.load();
+}
+
+TEST(TranspositionTable, ConcurrentHammerNeverYieldsTornValues) {
+  // The Hyatt checksum contract: under concurrent stores to a deliberately
+  // tiny (slot-contended) table, every probe hit must return the value that
+  // was stored under that exact key — a torn check/data pair must read as a
+  // miss. Values are derived from keys so a cross-key leak is detectable.
+  // The per-thread-sharded counters must also stay exact, including with
+  // more threads than shards (threads then share a shard).
+  for (unsigned threads : {4u, 64u}) {
+    TranspositionTable tt(64);
+    EXPECT_FALSE(hammer(tt, threads))
+        << threads << " threads: a probe returned a value stored under a "
+        << "different key";
+    const auto s = tt.stats();
+    const std::uint64_t ops = std::uint64_t{threads} * 20000;
+    EXPECT_EQ(s.probes, ops) << threads << " threads";
+    EXPECT_EQ(s.stores + s.kept, ops) << threads << " threads";
+    EXPECT_LE(s.hits + s.collisions, s.probes) << threads << " threads";
+    EXPECT_GT(s.stores, 0u) << threads << " threads";
+  }
 }
 
 // --- End-to-end: shared TT on vs off across the engine. ---------------------

@@ -192,8 +192,8 @@ TEST_P(ChaosRegistry, InjectedCancellationNeverYieldsWrongExactValue) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BothFamilies, ChaosRegistry, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "minimax" : "nor";
+                         [](const ::testing::TestParamInfo<bool>& param) {
+                           return param.param ? "minimax" : "nor";
                          });
 
 TEST(ChaosRegistry, FaultSchedulesAreDeterministic) {

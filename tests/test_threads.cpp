@@ -237,6 +237,31 @@ TEST(MtAb, TiesHeavyStress) {
   }
 }
 
+TEST(MtAb, WorstCaseInstance) {
+  // Worst-case ordering leaves alpha-beta no cutoff, so every leaf is
+  // evaluated, and the private memo's CAS counts each exactly once however
+  // the scouts race: the parallel count must equal the leaf count.
+  WorkStealingPool pool(8);
+  MtAbOptions opt;
+  opt.leaf_cost_ns = 0;
+  opt.grain_ns = 1;  // always spawn: the count is only contended with scouts
+  for (unsigned d : {2u, 3u}) {
+    for (unsigned n : {6u, 8u}) {
+      const Tree t = make_worst_case_minimax(d, n);
+      const Value truth = minimax_value(t);
+      for (unsigned w : {1u, 2u, 3u}) {
+        opt.width = w;
+        for (int rep = 0; rep < 5; ++rep) {
+          const auto r = mt_parallel_ab(t, opt, pool);
+          ASSERT_EQ(r.value, truth) << "d=" << d << " n=" << n << " w=" << w;
+          ASSERT_EQ(r.leaf_evaluations, t.num_leaves())
+              << "d=" << d << " n=" << n << " w=" << w << " rep " << rep;
+        }
+      }
+    }
+  }
+}
+
 TEST(MtAb, HigherWidthsStayCorrect) {
   WorkStealingPool pool(8);
   MtAbOptions opt;
