@@ -45,9 +45,9 @@ class ShardedCounters {
   /// beyond 16 share slots, still exactly.
   static constexpr std::size_t kShards = 16;
 
-  void add(std::size_t counter = 0) noexcept {
+  void add(std::size_t counter = 0, std::uint64_t n = 1) noexcept {
     slots_[detail::counter_shard(kShards)].c[counter].fetch_add(
-        1, std::memory_order_relaxed);
+        n, std::memory_order_relaxed);
   }
 
   std::uint64_t sum(std::size_t counter = 0) const noexcept {

@@ -32,6 +32,12 @@
 // Only *exact* values are stored (computed with no cutoff below the node),
 // so a hit is usable under any (alpha, beta) window — the same contract
 // the per-search memo had.
+//
+// Requests with free leaves (no leaf hook, zero leaf cost) never probe or
+// store leaves or leaf-frontier nodes: recomputing those costs less than
+// a probe, so the cascade reduces them with the batch kernel and only the
+// internal nodes above the frontier reach the table (threads/mt_ab.cpp).
+// Hooked or costed requests probe and store every leaf they evaluate.
 #pragma once
 
 #include <atomic>

@@ -236,10 +236,17 @@ void WorkStealingPool::worker_loop(unsigned index) {
   // First-touch: construct this worker's deque slots on its own (possibly
   // just-pinned) CPU so the pages are placed NUMA-local to it.
   workers_[index]->deque.first_touch();
+  // Set when the last park ended by timeout rather than by a wake; the
+  // sweep right after it decides whether that park was a backstop rescue.
+  bool timed_out = false;
   while (true) {
-    if (Task* t = next_task(index)) {
+    Task* const next = next_task(index);
+    if (timed_out && next != nullptr)
+      backstop_rescues_.fetch_add(1, std::memory_order_relaxed);
+    timed_out = false;
+    if (next != nullptr) {
       executed_.fetch_add(1, std::memory_order_relaxed);
-      run_and_delete(t);
+      run_and_delete(next);
       continue;
     }
     if (stopping_.load(std::memory_order_seq_cst)) {
@@ -269,10 +276,11 @@ void WorkStealingPool::worker_loop(unsigned index) {
       parks_.fetch_add(1, std::memory_order_relaxed);
       // Timed wait: liveness backstop for the wake throttle. The predicate
       // consumes the pending-wake flag.
-      park_cv_.wait_for(lock, std::chrono::milliseconds(1), [this] {
-        return stopping_.load(std::memory_order_seq_cst) ||
-               wake_pending_.load(std::memory_order_seq_cst);
-      });
+      timed_out = !park_cv_.wait_for(
+          lock, std::chrono::milliseconds(1), [this] {
+            return stopping_.load(std::memory_order_seq_cst) ||
+                   wake_pending_.load(std::memory_order_seq_cst);
+          });
     }
     wake_pending_.store(false, std::memory_order_seq_cst);
     sleepers_.fetch_sub(1, std::memory_order_seq_cst);
@@ -289,6 +297,7 @@ WorkStealingStats WorkStealingPool::stats() const {
   s.inline_runs = inline_runs_.load(std::memory_order_relaxed);
   s.injected = injected_.load(std::memory_order_relaxed);
   s.parks = parks_.load(std::memory_order_relaxed);
+  s.backstop_rescues = backstop_rescues_.load(std::memory_order_relaxed);
   s.task_exceptions = task_exceptions_.load(std::memory_order_relaxed);
   return s;
 }

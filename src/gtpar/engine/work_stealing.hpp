@@ -51,6 +51,10 @@ struct WorkStealingStats {
   std::uint64_t inline_runs = 0;  ///< caller-runs executions (overflow policy)
   std::uint64_t injected = 0;     ///< tasks that went through the injection queue
   std::uint64_t parks = 0;        ///< times a worker went to sleep
+  /// Parks whose timed wait expired without a wake and whose next sweep
+  /// then found a task: work that only the backstop timer picked up, so a
+  /// wake the throttled chain missed. Never exceeds `parks`.
+  std::uint64_t backstop_rescues = 0;
   /// Tasks that exited by exception. The pool swallows the exception and
   /// keeps the worker alive (tasks report failures through captured state,
   /// as the Mt cascades' scout wrappers do); a non-zero count means some
@@ -163,6 +167,7 @@ class WorkStealingPool final : public Executor {
   std::atomic<std::uint64_t> inline_runs_{0};
   std::atomic<std::uint64_t> injected_{0};
   std::atomic<std::uint64_t> parks_{0};
+  std::atomic<std::uint64_t> backstop_rescues_{0};
   std::atomic<std::uint64_t> task_exceptions_{0};
 };
 

@@ -126,10 +126,14 @@ inline bool leaf_frontier_bit(const Tree::HotView& h, NodeId v) noexcept {
 /// reduced in one call to batch_nor_any over its contiguous
 /// HotView::child_values slice instead of one leaf() call per child. The
 /// context must then also provide `void batch_leaves(std::uint32_t)` for
-/// work accounting, and must be a context whose per-leaf hooks are pure
-/// counting (no memo writes per leaf, no per-leaf cost/faults, no
-/// cancellation finer than node granularity) — the mt cascade contexts do
-/// NOT qualify and always instantiate kBatch = false.
+/// work accounting, and its leaves must be *free*: leaf() only reads and
+/// counts the tree's value (no memo traffic per leaf, no per-leaf cost,
+/// hook or fault), and cancellation is observed through stop(), which the
+/// kernel polls at node granularity. The standalone counting contexts
+/// qualify, and so does mt_ab's context for a request with no leaf hook
+/// and no leaf cost on a shared table (threads/mt_ab.cpp); hooked or
+/// costed requests, private-memo searches and mt_solve instantiate
+/// kBatch = false.
 template <bool kBatch = false, class Ctx>
 bool flat_solve_core(const Tree& t, NodeId root, Ctx& ctx, bool& ok) {
   const Tree::HotView h = t.hot_view();
@@ -234,16 +238,21 @@ bool flat_solve_core(const Tree& t, NodeId root, Ctx& ctx, bool& ok) {
 /// without storing. On return `exact` is true iff the value is the true
 /// minimax value of the subtree (no cutoff at or below it, and no stop).
 ///
+/// Leaves are never probed by the kernel: leaf() owns a leaf's memo
+/// traffic, so a context with a memo pays one probe per leaf.
+///
 /// With kBatch = true, a leaf-frontier node is reduced in one bounded
 /// batch_max/batch_min scan over its contiguous HotView::child_values
 /// slice under the node's (alpha, beta) window: no cutoff means the exact
-/// node value (stored through the context), a cutoff means a fail-soft
-/// bound exactly like the per-child loop — except the early exit fires at
-/// kBatchBlock granularity, so up to kBatchBlock-1 extra (distinct) leaves
-/// are scanned and the fail-soft bound can be tighter. The context must
-/// provide `void batch_leaves(std::uint32_t)` and qualify as pure-counting
-/// (see flat_solve_core); batching also assumes per-child probe() misses
-/// and no dyn re-clamp between siblings, which holds for those contexts.
+/// node value, a cutoff means a fail-soft bound exactly like the per-child
+/// loop — except the early exit fires at kBatchBlock granularity, so up to
+/// kBatchBlock-1 extra (distinct) leaves are scanned and the fail-soft
+/// bound can be tighter. A leaf-frontier node is then neither probed nor
+/// stored: the scan costs less than a table probe. `dyn` is read once at
+/// the frontier node's entry, not again between its leaves, which can only
+/// loosen the fail-soft bound, never make it unsound. The context must
+/// provide `void batch_leaves(std::uint32_t)` and have free leaves (see
+/// flat_solve_core).
 template <bool kBatch = false, class Ctx>
 Value flat_ab_core(const Tree& t, NodeId root, Value alpha0, Value beta0,
                    const std::atomic<Value>* dyn, bool dyn_is_alpha, Ctx& ctx,
@@ -267,8 +276,9 @@ Value flat_ab_core(const Tree& t, NodeId root, Value alpha0, Value beta0,
   // Root entry.
   {
     if (ctx.stop()) return 0;
+    const bool frontier = kBatch && detail::leaf_frontier_bit(h, root);
     Value cached;
-    if (ctx.probe(root, cached)) {
+    if (h.child_count[root] != 0 && !frontier && ctx.probe(root, cached)) {
       exact = true;
       return cached;
     }
@@ -289,13 +299,12 @@ Value flat_ab_core(const Tree& t, NodeId root, Value alpha0, Value beta0,
     }
     const bool maxing = (h.depth[root] % 2) == 0;
     if constexpr (kBatch) {
-      if (detail::leaf_frontier_bit(h, root)) {
+      if (frontier) {
         const Value* vals = h.child_values + h.child_begin[root];
         const std::uint32_t n = h.child_count[root];
         const BatchReduce r =
             maxing ? batch_max(vals, n, b) : batch_min(vals, n, a);
         ctx.batch_leaves(r.scanned);
-        if (!r.cutoff) ctx.store(root, r.best);
         exact = !r.cutoff;
         return r.best;
       }
@@ -342,8 +351,9 @@ Value flat_ab_core(const Tree& t, NodeId root, Value alpha0, Value beta0,
       exact = false;
       return 0;
     }
+    const bool frontier = kBatch && detail::leaf_frontier_bit(h, c);
     Value cached;
-    if (ctx.probe(c, cached)) {
+    if (h.child_count[c] != 0 && !frontier && ctx.probe(c, cached)) {
       ret = cached;
       ret_exact = true;
       continue;
@@ -373,13 +383,12 @@ Value flat_ab_core(const Tree& t, NodeId root, Value alpha0, Value beta0,
     }
     const bool maxing = (h.depth[c] % 2) == 0;
     if constexpr (kBatch) {
-      if (detail::leaf_frontier_bit(h, c)) {
+      if (frontier) {
         const Value* vals = h.child_values + h.child_begin[c];
         const std::uint32_t n = h.child_count[c];
         const BatchReduce r =
             maxing ? batch_max(vals, n, b) : batch_min(vals, n, a);
         ctx.batch_leaves(r.scanned);
-        if (!r.cutoff) ctx.store(c, r.best);
         ret = r.best;
         ret_exact = !r.cutoff;
         continue;

@@ -32,8 +32,9 @@ struct AbShared {
   Executor& exec;
   SearchLimits limits;
   /// Paid leaf evaluations. Every worker of the search counts one per
-  /// leaf, so the count is sharded per thread (sharded_counter.hpp) and
-  /// summed once the search has finished.
+  /// leaf (the free-leaf batch path adds once per kernel call), so the
+  /// count is sharded per thread (sharded_counter.hpp) and summed once the
+  /// search has finished.
   ShardedCounters<1> leaf_evals;
   std::atomic<std::uint64_t> retries{0};
   std::atomic<std::uint64_t> faults{0};
@@ -56,6 +57,10 @@ struct AbShared {
   std::uint64_t fp = 0;
   /// Grain cutoff: sibling subtrees with fewer leaves are never scouted.
   std::uint32_t min_spawn;
+  /// Free leaves on a shared table: no leaf hook, no leaf cost. Leaves and
+  /// leaf-frontier nodes then cost less to recompute than to probe, so
+  /// they bypass the table and the batch kernel reduces the frontiers.
+  bool free_leaves;
   /// Never-set cancel flag for inline flat runs on the spine.
   std::atomic<bool> never{false};
 
@@ -66,7 +71,9 @@ struct AbShared {
       : t(tree), opt(options), exec(executor), limits(lim),
         memo(options.tt == nullptr ? tree.size() : 0), tt(options.tt),
         min_spawn(min_spawn_leaves(default_grain_policy(), options.grain_ns,
-                                   options.leaf_cost_ns)) {
+                                   options.leaf_cost_ns)),
+        free_leaves(options.tt != nullptr && options.leaf_hook == nullptr &&
+                    options.leaf_cost_ns == 0) {
     for (auto& m : memo) m.store(0, std::memory_order_relaxed);
     if (tt != nullptr) fp = tree.fingerprint();
     if (limits.budget_ns != 0)
@@ -168,6 +175,29 @@ struct AbCtx {
   }
 };
 
+/// The batch kernel's context for free-leaf requests (AbShared::
+/// free_leaves): internal nodes above the leaf frontier go through the
+/// shared table, leaves are read straight from the tree, and the leaves
+/// scanned are counted here and added to leaf_evals once per kernel call.
+/// eval_leaf is never called, so stop() polls the request's cancel flag
+/// and deadline itself.
+struct FreeLeafAbCtx {
+  AbShared& sh;
+  const std::atomic<bool>& cancel;
+  std::uint64_t leaves = 0;
+  bool probe(NodeId v, Value& out) const { return sh.memo_lookup(v, out); }
+  void store(NodeId v, Value val) const { sh.memo_store(v, val); }
+  bool leaf(NodeId v, Value& out) {
+    ++leaves;
+    out = sh.t.leaf_value(v);
+    return true;
+  }
+  void batch_leaves(std::uint32_t k) { leaves += k; }
+  bool stop() const {
+    return cancel.load(std::memory_order_relaxed) || sh.poll_stop();
+  }
+};
+
 /// Sequential fail-soft alpha-beta with a dynamic bound published by the
 /// spawning spine (re-read at every node entry), cancellation, and exact
 /// memoisation: the flat iterative kernel plugged into the shared state.
@@ -176,6 +206,13 @@ struct AbCtx {
 Value seq_ab(AbShared& sh, NodeId v, Value alpha, Value beta,
              const std::atomic<Value>* dyn, bool dyn_is_alpha,
              const std::atomic<bool>& cancel, bool& exact) {
+  if (sh.free_leaves) {
+    FreeLeafAbCtx ctx{sh, cancel};
+    const Value r = flat_ab_core<true>(sh.t, v, alpha, beta, dyn,
+                                       dyn_is_alpha, ctx, exact);
+    if (ctx.leaves != 0) sh.leaf_evals.add(0, ctx.leaves);
+    return r;
+  }
   AbCtx ctx{sh, cancel};
   return flat_ab_core(sh.t, v, alpha, beta, dyn, dyn_is_alpha, ctx, exact);
 }
@@ -209,23 +246,26 @@ struct AbScout {
 /// running once the spine catches up.
 Value pab(AbShared& sh, NodeId v, Value alpha, Value beta, bool& exact) {
   exact = false;
+  // Adaptive granularity: a subtree too small to repay a scheduler round
+  // trip runs inline through the flat iterative kernel, which probes v
+  // itself (this also covers leaves under any cutoff > 1). With free
+  // leaves, a leaf or leaf-frontier node always goes to the batch kernel,
+  // which neither probes nor stores it.
+  if (sh.t.subtree_leaves(v) < sh.min_spawn ||
+      (sh.free_leaves && (sh.t.is_leaf(v) || sh.t.is_leaf_frontier(v))))
+    return seq_ab(sh, v, alpha, beta, nullptr, true, sh.never, exact);
+  if (sh.t.is_leaf(v)) {  // eval_leaf probes the memo itself
+    Value out = 0;
+    if (!sh.eval_leaf(v, out)) return 0;
+    exact = true;
+    return out;
+  }
   {
     Value cached;
     if (sh.memo_lookup(v, cached)) {
       exact = true;
       return cached;
     }
-  }
-  // Adaptive granularity: a subtree too small to repay a scheduler round
-  // trip runs inline through the flat iterative kernel (this also covers
-  // leaves under any cutoff > 1).
-  if (sh.t.subtree_leaves(v) < sh.min_spawn)
-    return seq_ab(sh, v, alpha, beta, nullptr, true, sh.never, exact);
-  if (sh.t.is_leaf(v)) {
-    Value out = 0;
-    if (!sh.eval_leaf(v, out)) return 0;
-    exact = true;
-    return out;
   }
   const bool maxing = node_kind(sh.t, v) == NodeKind::Max;
   const auto children = sh.t.children(v);

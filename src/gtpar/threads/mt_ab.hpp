@@ -50,8 +50,12 @@ struct MtAbOptions {
   /// Shared transposition table (engine/tt.hpp) replacing the per-search
   /// exact-value memo: concurrent and subsequent searches reuse each
   /// other's completed subtrees, keyed by tree fingerprint + node. Null =
-  /// private memo. With a TT, leaf_evaluations counts evaluations with
-  /// multiplicity (replacement may evict the dedup record).
+  /// private memo. With a TT, leaf_evaluations counts scanned leaves,
+  /// re-scans included: a hooked or costed request evaluates and stores
+  /// every leaf it reaches (replacement may evict the record), and a
+  /// request with free leaves (no leaf_hook, leaf_cost_ns 0) keeps leaves
+  /// and leaf-frontier nodes out of the table and re-scans them whenever
+  /// the search reaches them again (engine/tt.hpp).
   TranspositionTable* tt = nullptr;
   /// Evaluator hook run once per leaf-evaluation attempt (fault injection,
   /// externalised evaluation); a throw is retried per `retry`, then

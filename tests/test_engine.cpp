@@ -82,6 +82,32 @@ TEST(WorkStealingPool, CallerRunsWhenInjectionQueueOverflows) {
   EXPECT_EQ(count.load(), 200);
 }
 
+TEST(WorkStealingPool, BackstopRescuesStayWithinParks) {
+  // A rescue is a park that timed out and whose next sweep found a task.
+  // An idle pool parks and times out over and over but finds nothing, so
+  // it rescues nothing.
+  {
+    WorkStealingPool idle(2);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const WorkStealingStats s = idle.stats();
+    EXPECT_GT(s.parks, 0u);
+    EXPECT_EQ(s.backstop_rescues, 0u);
+  }
+  // Bursts separated by gaps long enough for the workers to park: each
+  // park yields at most one rescue.
+  WorkStealingPool pool(4);
+  std::atomic<int> count{0};
+  for (int round = 0; round < 40; ++round) {
+    for (int i = 0; i < 8; ++i)
+      pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
+    while (count.load() < 8 * (round + 1)) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::microseconds(300));
+  }
+  const WorkStealingStats s = pool.stats();
+  EXPECT_GT(s.parks, 0u);
+  EXPECT_LE(s.backstop_rescues, s.parks);
+}
+
 // --- Façade. ----------------------------------------------------------------
 
 TEST(SearchFacade, MatchesGroundTruthAcrossAlgorithms) {

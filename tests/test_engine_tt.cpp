@@ -231,5 +231,138 @@ TEST(EngineTT, PerRequestTableOverridesEngineTable) {
   EXPECT_EQ(eng.stats().tt.stores, 0u);
 }
 
+// --- Free leaves: no hook and no leaf cost keep leaves out of the table. ----
+
+/// A kMtParallelAb request over `t` with zero-cost leaves on table `tt`.
+SearchRequest free_leaf_request(const Tree& t, TranspositionTable& tt,
+                                std::uint64_t grain) {
+  SearchRequest req;
+  req.tree = &t;
+  req.algorithm = Algorithm::kMtParallelAb;
+  req.leaf_cost_ns = 0;
+  req.grain = grain;
+  req.width = 2;
+  req.threads = 4;
+  req.tt = &tt;
+  return req;
+}
+
+TEST(EngineTT, FreeLeavesNeverTouchTheTable) {
+  // Leaves and leaf-frontier nodes are neither probed nor stored, so even
+  // with every subtree spawned (grain 1) only the internal nodes above the
+  // frontier reach the table. The per-leaf path probes and stores every
+  // leaf it evaluates: about 1.3 table operations per leaf of these trees.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const Tree t = make_uniform_iid_minimax(4, 6, -100, 100, seed);
+    TranspositionTable tt(1 << 14);
+    const SearchResult r = search(free_leaf_request(t, tt, /*grain=*/1));
+    EXPECT_EQ(r.value, minimax_value(t)) << "seed " << seed;
+    EXPECT_TRUE(r.complete) << "seed " << seed;
+    EXPECT_GT(r.work, 0u) << "seed " << seed;
+    const TranspositionTable::Stats s = tt.stats();
+    EXPECT_LT(s.probes + s.stores, t.num_leaves() / 2)
+        << "seed " << seed << ": " << s.probes << " probes, " << s.stores
+        << " stores over " << t.num_leaves() << " leaves";
+  }
+}
+
+/// True unless `r` claims a value or one-sided bound that excludes `truth`.
+bool admits(const SearchResult& r, Value truth) {
+  switch (r.completeness) {
+    case Completeness::kExact: return r.value == truth;
+    case Completeness::kLowerBound: return r.value <= truth;
+    case Completeness::kUpperBound: return r.value >= truth;
+    case Completeness::kFailed: return true;
+  }
+  return false;
+}
+
+TEST(EngineTT, FreeLeafBatchPathObservesCancelAndDeadline) {
+  // The batch path never calls the per-leaf evaluator, where the cancel
+  // flag and the deadline are polled on the per-leaf path; it must still
+  // stop, and its anytime bound must admit the true value.
+  const std::atomic<bool> cancelled{true};
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const Tree t = make_uniform_iid_minimax(4, 6, -100, 100, seed);
+    const Value truth = minimax_value(t);
+    for (const std::uint64_t grain : {std::uint64_t{0}, std::uint64_t{1}}) {
+      for (const bool use_cancel : {true, false}) {
+        TranspositionTable tt(1 << 14);
+        SearchRequest req = free_leaf_request(t, tt, grain);
+        if (use_cancel)
+          req.limits.cancel = &cancelled;
+        else
+          req.limits.budget_ns = 1;
+        const SearchResult r = search(req);
+        const char* what = use_cancel ? "pre-set cancel" : "1 ns budget";
+        EXPECT_FALSE(r.complete)
+            << what << ", seed " << seed << ", grain " << grain;
+        EXPECT_TRUE(admits(r, truth))
+            << what << ", seed " << seed << ", grain " << grain << ": "
+            << completeness_name(r.completeness) << " " << r.value
+            << " vs true " << truth;
+      }
+    }
+  }
+}
+
+/// Inert hook that counts its calls.
+class CountingHook final : public LeafHook {
+ public:
+  void on_leaf(NodeId, unsigned) override {
+    calls.fetch_add(1, std::memory_order_relaxed);
+  }
+  std::atomic<std::uint64_t> calls{0};
+};
+
+TEST(EngineTT, HookedAndCostedRequestsKeepThePerLeafPath) {
+  // On a table-backed engine, a leaf hook or a leaf cost makes leaves not
+  // free: every leaf evaluation runs the hook, pays its cost and is stored.
+  const Tree t = make_uniform_iid_minimax(3, 6, -100, 100, 5);
+  const Value truth = minimax_value(t);
+  Engine::Options opt;
+  opt.workers = 4;
+  opt.tt_entries = 1 << 14;
+  for (const std::uint64_t grain : {std::uint64_t{0}, std::uint64_t{1}}) {
+    Engine eng(opt);
+    CountingHook hook;
+    SearchRequest hooked;
+    hooked.tree = &t;
+    hooked.algorithm = Algorithm::kMtParallelAb;
+    hooked.grain = grain;
+    hooked.leaf_hook = &hook;
+    const SearchResult rh = eng.run(hooked);
+    EXPECT_EQ(rh.value, truth) << "grain " << grain;
+    EXPECT_GT(rh.work, 0u) << "grain " << grain;
+    EXPECT_EQ(hook.calls.load(), rh.work) << "grain " << grain;
+
+    eng.shared_tt()->clear();
+    const TranspositionTable::Stats before = eng.stats().tt;
+    SearchRequest costed = hooked;
+    costed.leaf_hook = nullptr;
+    costed.leaf_cost_ns = 50;
+    const SearchResult rc = eng.run(costed);
+    const TranspositionTable::Stats after = eng.stats().tt;
+    EXPECT_EQ(rc.value, truth) << "grain " << grain;
+    EXPECT_GT(rc.work, 0u) << "grain " << grain;
+    // Each paid leaf evaluation offers the leaf to the table once.
+    EXPECT_GE((after.stores + after.kept) - (before.stores + before.kept),
+              rc.work)
+        << "grain " << grain;
+  }
+  // ... and probes it once: the kernel leaves a leaf's probe to the
+  // evaluator. The sequential core makes the count deterministic: one
+  // probe per evaluated leaf plus one per internal node entered.
+  TranspositionTable tt(1 << 14);
+  SearchRequest seq;
+  seq.tree = &t;
+  seq.algorithm = Algorithm::kMtSequentialAb;
+  seq.leaf_cost_ns = 50;
+  seq.tt = &tt;
+  const SearchResult rs = search(seq);
+  EXPECT_EQ(rs.value, truth);
+  EXPECT_LT(tt.stats().probes, 2 * rs.work);
+}
+
 }  // namespace
 }  // namespace gtpar

@@ -99,8 +99,8 @@ void print_stats(const gtpar::net::ServiceServer& server) {
       static_cast<unsigned long long>(s.dedupe_replays));
   std::printf(
       "engine stats: submitted=%llu completed=%llu incomplete=%llu "
-      "rejected=%llu watchdog=%llu retries=%llu faults=%llu "
-      "avg_dispatch_us=%.1f\n",
+      "rejected=%llu watchdog=%llu retries=%llu faults=%llu parks=%llu "
+      "backstop_rescues=%llu avg_dispatch_us=%.1f\n",
       static_cast<unsigned long long>(e.submitted),
       static_cast<unsigned long long>(e.completed),
       static_cast<unsigned long long>(e.incomplete),
@@ -108,6 +108,8 @@ void print_stats(const gtpar::net::ServiceServer& server) {
       static_cast<unsigned long long>(e.watchdog_failed),
       static_cast<unsigned long long>(e.total_retries),
       static_cast<unsigned long long>(e.total_faults),
+      static_cast<unsigned long long>(e.scheduler.parks),
+      static_cast<unsigned long long>(e.scheduler.backstop_rescues),
       e.completed ? static_cast<double>(e.total_dispatch_ns) / 1e3 /
                         static_cast<double>(e.completed)
                   : 0.0);
