@@ -8,8 +8,11 @@
 //
 // Node identity is a (path, depth) pair; how `path` encodes the position is
 // up to each source (uniform sources use base-d digits, the explicit-tree
-// adapter uses arena ids, game sources pack move lists). Identities must be
-// stable: the same child always gets the same Node.
+// adapter uses arena ids, game sources store the game state itself, e.g.
+// the occupancy masks of a board). Identities must be stable: the same
+// child always gets the same Node. Distinct nodes may share a Node when
+// they denote the same state (transposed move orders in the game sources):
+// the expansion simulators key their bookkeeping on their own node ids.
 #pragma once
 
 #include <cstdint>
@@ -72,9 +75,9 @@ class TreeSource {
 
   /// Batched move_label: fill out[0..d) with the labels of all d =
   /// num_children(v) moves at v. The default loops move_label; sources
-  /// whose labels require replaying the path (the mask-replay games)
-  /// override this to replay once per node instead of once per move — the
-  /// move-ordering search calls this on every interior node.
+  /// that can list every label in one pass over the position (the board
+  /// games walk the set bits of one mask) override this — the
+  /// move-ordering search calls it on every interior node.
   virtual void move_labels(const Node& v, unsigned d,
                            std::uint64_t* out) const {
     for (unsigned i = 0; i < d; ++i) out[i] = move_label(v, i);

@@ -7,10 +7,10 @@
 // argument the first player wins every board larger than 1x1, which gives
 // the tests an oracle without solving the game by hand.
 //
-// Unlike the move-sequence encodings of the (m,n,k) sources, a node's path
-// stores the *state* itself — the column heights, 4 bits per column (the
-// staircase invariant: heights are non-increasing left to right). Distinct
-// move orders reaching the same bar share a Node, like NimSource; depth
+// As in every bundled game source, a node's path stores the *state* itself
+// — here the column heights, 4 bits per column (the staircase invariant:
+// heights are non-increasing left to right). Distinct move orders reaching
+// the same bar share a Node, like NimSource; depth
 // carries side-to-move parity. One chomp move can eat many squares, so
 // parity is NOT derivable from the heights and must ride in the key.
 #pragma once

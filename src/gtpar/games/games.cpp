@@ -1,99 +1,64 @@
 #include "gtpar/games/games.hpp"
 
 #include <array>
+#include <bit>
 #include <stdexcept>
 #include <string>
 
+#include "gtpar/games/board.hpp"
+
 namespace gtpar {
 
-bool TicTacToeSource::wins(std::uint16_t m) {
-  static constexpr std::array<std::uint16_t, 8> kLines{
+namespace {
+constexpr std::uint32_t kAllSquares = 0x1FF;
+}  // namespace
+
+bool TicTacToeSource::wins(std::uint32_t m) {
+  static constexpr std::array<std::uint32_t, 8> kLines{
       0b111000000, 0b000111000, 0b000000111,  // rows
       0b100100100, 0b010010010, 0b001001001,  // columns
       0b100010001, 0b001010100};              // diagonals
-  for (const std::uint16_t line : kLines) {
+  for (const std::uint32_t line : kLines) {
     if ((m & line) == line) return true;
   }
   return false;
 }
 
-TicTacToeSource::State TicTacToeSource::replay(const Node& v) {
-  State s;
-  for (unsigned k = 0; k < v.depth; ++k) {
-    const unsigned digit =
-        static_cast<unsigned>(v.path >> (4 * (v.depth - 1 - k))) & 0xF;
-    // The digit indexes the ordered list of empty squares.
-    const std::uint16_t occupied = static_cast<std::uint16_t>(s.x | s.o);
-    unsigned seen = 0;
-    unsigned square = 9;
-    for (unsigned sq = 0; sq < 9; ++sq) {
-      if (occupied & (1u << sq)) continue;
-      if (seen++ == digit) {
-        square = sq;
-        break;
-      }
-    }
-    if (square == 9) throw std::logic_error("TicTacToeSource: bad move digit");
-    if (s.ply % 2 == 0)
-      s.x = static_cast<std::uint16_t>(s.x | (1u << square));
-    else
-      s.o = static_cast<std::uint16_t>(s.o | (1u << square));
-    ++s.ply;
-  }
-  return s;
+unsigned TicTacToeSource::num_children(const Node& v) const {
+  if (wins(board::x_mask(v)) || wins(board::o_mask(v))) return 0;
+  return static_cast<unsigned>(std::popcount(~board::occupied(v) & kAllSquares));
 }
 
-unsigned TicTacToeSource::num_children(const Node& v) const {
-  const State s = replay(v);
-  if (wins(s.x) || wins(s.o) || s.ply == 9) return 0;
-  return 9 - s.ply;
+TreeSource::Node TicTacToeSource::child(const Node& v, unsigned i) const {
+  return board::place(v, board::nth_set_bit(~board::occupied(v) & kAllSquares,
+                                            i, "TicTacToeSource"));
 }
 
 Value TicTacToeSource::leaf_value(const Node& v) const {
-  const State s = replay(v);
-  if (wins(s.x)) return 1;
-  if (wins(s.o)) return -1;
+  if (wins(board::x_mask(v))) return 1;
+  if (wins(board::o_mask(v))) return -1;
   return 0;
 }
 
 std::string TicTacToeSource::board_string(const Node& v) {
-  const State s = replay(v);
-  std::string out(9, '.');
-  for (unsigned sq = 0; sq < 9; ++sq) {
-    if (s.x & (1u << sq)) out[sq] = 'X';
-    else if (s.o & (1u << sq)) out[sq] = 'O';
-  }
-  return out;
+  return board::render(v, 9);
 }
 
 std::uint64_t TicTacToeSource::state_key(const Node& v) const {
-  const State s = replay(v);
   // Salted with a family tag: this source may share an engine-owned
   // transposition table with other games whose keys are also derived from
   // occupancy masks (see MnkSource::state_key).
-  return mix64((std::uint64_t(s.x) << 16) | s.o) ^ mix64(0x747474ull /*"ttt"*/);
+  return board::state_key(v, mix64(0x747474ull /*"ttt"*/));
 }
 
 std::uint64_t TicTacToeSource::move_label(const Node& v, unsigned i) const {
-  const State s = replay(v);
-  const std::uint16_t occupied = static_cast<std::uint16_t>(s.x | s.o);
-  unsigned seen = 0;
-  for (unsigned sq = 0; sq < 9; ++sq) {
-    if (occupied & (1u << sq)) continue;
-    if (seen++ == i) return sq;
-  }
-  throw std::logic_error("TicTacToeSource: bad move digit");
+  return board::nth_set_bit(~board::occupied(v) & kAllSquares, i,
+                            "TicTacToeSource");
 }
 
 void TicTacToeSource::move_labels(const Node& v, unsigned d,
                                   std::uint64_t* out) const {
-  const State s = replay(v);
-  const std::uint16_t occupied = static_cast<std::uint16_t>(s.x | s.o);
-  unsigned seen = 0;
-  for (unsigned sq = 0; sq < 9 && seen < d; ++sq) {
-    if (occupied & (1u << sq)) continue;
-    out[seen++] = sq;
-  }
+  board::set_bits(~board::occupied(v) & kAllSquares, d, out);
 }
 
 std::uint64_t NimSource::state_key(const Node& v) const {

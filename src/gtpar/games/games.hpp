@@ -15,39 +15,33 @@
 
 namespace gtpar {
 
-/// Full move-sequence game tree of 3x3 tic-tac-toe. The MAX player (X)
-/// moves first; leaves score +1 (X wins), -1 (O wins) or 0 (draw). Node
-/// paths pack one 4-bit digit per ply: the index of the chosen move within
-/// the ordered list of empty squares at that position.
+/// Full game tree of 3x3 tic-tac-toe. The MAX player (X) moves first;
+/// leaves score +1 (X wins), -1 (O wins) or 0 (draw). Child i of a node
+/// marks the i-th empty square in ascending order. A node is its board
+/// (games/board.hpp: the two occupancy masks in the path, the ply in the
+/// depth), so every query reads the masks and transposed move orders give
+/// equal Nodes.
 class TicTacToeSource final : public TreeSource {
  public:
   unsigned num_children(const Node& v) const override;
-  Node child(const Node& v, unsigned i) const override {
-    return Node{(v.path << 4) | i, v.depth + 1};
-  }
+  /// Throws std::logic_error when i is not below the empty-square count.
+  Node child(const Node& v, unsigned i) const override;
   Value leaf_value(const Node& v) const override;
 
-  /// Board reached by the move sequence encoded in `v` (for display).
-  /// Returns a 9-char string of 'X', 'O' and '.'.
+  /// The board at `v` (for display): a 9-char string of 'X', 'O' and '.'.
   static std::string board_string(const Node& v);
 
   /// Transposition key: the board itself (side to move is implied by the
-  /// piece count). Different move orders reaching the same position merge.
+  /// piece count).
   std::uint64_t state_key(const Node& v) const override;
 
   /// The chosen square (stable across positions, for history ordering).
   std::uint64_t move_label(const Node& v, unsigned i) const override;
-  /// All move labels at once, replaying the path a single time.
   void move_labels(const Node& v, unsigned d,
                    std::uint64_t* out) const override;
 
  private:
-  struct State {
-    std::uint16_t x = 0, o = 0;
-    unsigned ply = 0;
-  };
-  static State replay(const Node& v);
-  static bool wins(std::uint16_t mask);
+  static bool wins(std::uint32_t mask);
 };
 
 /// Single-heap Nim under normal play (the player who takes the last object

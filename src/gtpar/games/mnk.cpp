@@ -1,6 +1,9 @@
 #include "gtpar/games/mnk.hpp"
 
+#include <bit>
 #include <stdexcept>
+
+#include "gtpar/games/board.hpp"
 
 namespace gtpar {
 namespace {
@@ -27,15 +30,6 @@ std::vector<std::uint32_t> make_lines(unsigned cols, unsigned rows, unsigned k) 
   return lines;
 }
 
-std::string render_board(std::uint32_t x, std::uint32_t o, unsigned squares) {
-  std::string out(squares, '.');
-  for (unsigned sq = 0; sq < squares; ++sq) {
-    if (x & (1u << sq)) out[sq] = 'X';
-    else if (o & (1u << sq)) out[sq] = 'O';
-  }
-  return out;
-}
-
 /// Game-identity salt folded into every state_key. Two sources may share
 /// one engine-owned transposition table, so identical occupancy masks on
 /// different game configurations (a 4x4/k=4 board and a 2x8/k=2 board, a
@@ -50,7 +44,7 @@ std::uint64_t geometry_salt(std::uint64_t family_tag, unsigned cols,
 
 /// Shared constructor validation. The product check alone is not enough:
 /// cols*rows wraps at 2^32 (e.g. 2^16 x 2^16 multiplies to 0), silently
-/// admitting boards whose move digits overflow the per-ply path packing.
+/// admitting boards whose squares overflow the 16-bit occupancy masks.
 /// Bounding each dimension first makes the product overflow-free.
 void validate_board(const char* who, unsigned cols, unsigned rows, unsigned k) {
   if (cols == 0 || rows == 0)
@@ -68,6 +62,7 @@ MnkSource::MnkSource(unsigned cols, unsigned rows, unsigned k)
     : cols_(cols), rows_(rows), k_(k),
       key_salt_(geometry_salt(0x6d6e6bull /*"mnk"*/, cols, rows, k)) {
   validate_board("MnkSource", cols_, rows_, k_);
+  all_squares_ = (1u << squares()) - 1;
   lines_ = make_lines(cols_, rows_, k_);
 }
 
@@ -78,67 +73,40 @@ bool MnkSource::wins(std::uint32_t mask) const {
   return false;
 }
 
-unsigned MnkSource::digit_to_square(const State& s, unsigned digit) const {
-  const unsigned total = squares();
-  const std::uint32_t occupied = s.x | s.o;
-  unsigned seen = 0;
-  for (unsigned sq = 0; sq < total; ++sq) {
-    if (occupied & (1u << sq)) continue;
-    if (seen++ == digit) return sq;
-  }
-  throw std::logic_error("MnkSource: bad move digit");
-}
-
-MnkSource::State MnkSource::replay(const Node& v) const {
-  State s;
-  for (unsigned ply = 0; ply < v.depth; ++ply) {
-    const unsigned digit = static_cast<unsigned>(v.path >> (4 * (v.depth - 1 - ply))) & 0xF;
-    const unsigned square = digit_to_square(s, digit);
-    if (s.ply % 2 == 0) s.x |= 1u << square;
-    else s.o |= 1u << square;
-    ++s.ply;
-  }
-  return s;
+std::uint32_t MnkSource::empty(const Node& v) const {
+  return ~board::occupied(v) & all_squares_;
 }
 
 unsigned MnkSource::num_children(const Node& v) const {
-  const State s = replay(v);
-  if (wins(s.x) || wins(s.o) || s.ply == squares()) return 0;
-  return squares() - s.ply;
+  if (wins(board::x_mask(v)) || wins(board::o_mask(v))) return 0;
+  return static_cast<unsigned>(std::popcount(empty(v)));
+}
+
+TreeSource::Node MnkSource::child(const Node& v, unsigned i) const {
+  return board::place(v, board::nth_set_bit(empty(v), i, "MnkSource"));
 }
 
 Value MnkSource::leaf_value(const Node& v) const {
-  const State s = replay(v);
-  if (wins(s.x)) return 1;
-  if (wins(s.o)) return -1;
+  if (wins(board::x_mask(v))) return 1;
+  if (wins(board::o_mask(v))) return -1;
   return 0;
 }
 
 std::uint64_t MnkSource::state_key(const Node& v) const {
-  const State s = replay(v);
-  return mix64((std::uint64_t(s.x) << 16) | s.o) ^ key_salt_;
+  return board::state_key(v, key_salt_);
 }
 
 std::uint64_t MnkSource::move_label(const Node& v, unsigned i) const {
-  return digit_to_square(replay(v), i);
+  return board::nth_set_bit(empty(v), i, "MnkSource");
 }
 
 void MnkSource::move_labels(const Node& v, unsigned d,
                             std::uint64_t* out) const {
-  const State s = replay(v);
-  // Digit i names the i-th empty square in ascending order.
-  const std::uint32_t occupied = s.x | s.o;
-  const unsigned total = squares();
-  unsigned seen = 0;
-  for (unsigned sq = 0; sq < total && seen < d; ++sq) {
-    if (occupied & (1u << sq)) continue;
-    out[seen++] = sq;
-  }
+  board::set_bits(empty(v), d, out);
 }
 
 std::string MnkSource::board_string(const Node& v) const {
-  const State s = replay(v);
-  return render_board(s.x, s.o, squares());
+  return board::render(v, squares());
 }
 
 // ---------------------------------------------------------------------------
@@ -151,6 +119,9 @@ DropSource::DropSource(unsigned cols, unsigned rows, unsigned k)
   validate_board("DropSource", cols_, rows_, k_);
   if (cols_ > 8) throw std::invalid_argument("DropSource: at most 8 columns");
   lines_ = make_lines(cols_, rows_, k_);
+  column_masks_.assign(cols_, 0);
+  for (unsigned c = 0; c < cols_; ++c)
+    for (unsigned r = 0; r < rows_; ++r) column_masks_[c] |= 1u << (r * cols_ + c);
 }
 
 bool DropSource::wins(std::uint32_t m) const {
@@ -160,77 +131,46 @@ bool DropSource::wins(std::uint32_t m) const {
   return false;
 }
 
-unsigned DropSource::fill(const State& s, unsigned c) const {
-  // Row 0 is the bottom; a column fills bottom-up, so its height is the
-  // lowest empty row.
-  const std::uint32_t occ = s.x | s.o;
-  unsigned h = 0;
-  while (h < rows_ && (occ & (1u << (h * cols_ + c)))) ++h;
-  return h;
-}
-
-unsigned DropSource::digit_to_column(const State& s, unsigned digit) const {
-  // The digit indexes the ordered list of non-full columns.
-  unsigned seen = 0;
-  for (unsigned c = 0; c < cols_; ++c) {
-    if (fill(s, c) == rows_) continue;
-    if (seen++ == digit) return c;
-  }
-  throw std::logic_error("DropSource: bad move digit");
-}
-
-DropSource::State DropSource::replay(const Node& v) const {
-  State s;
-  for (unsigned ply = 0; ply < v.depth; ++ply) {
-    const unsigned digit =
-        static_cast<unsigned>(v.path >> (3 * (v.depth - 1 - ply))) & 0x7;
-    const unsigned col = digit_to_column(s, digit);
-    const unsigned sq = fill(s, col) * cols_ + col;
-    if (s.ply % 2 == 0) s.x |= 1u << sq;
-    else s.o |= 1u << sq;
-    ++s.ply;
-  }
-  return s;
+std::uint32_t DropSource::open_columns(const Node& v) const {
+  const std::uint32_t top_row_empty =
+      ~board::occupied(v) >> ((rows_ - 1) * cols_);
+  return top_row_empty & ((1u << cols_) - 1);
 }
 
 unsigned DropSource::num_children(const Node& v) const {
-  const State s = replay(v);
-  if (wins(s.x) || wins(s.o) || s.ply == squares()) return 0;
-  unsigned open = 0;
-  for (unsigned c = 0; c < cols_; ++c) open += fill(s, c) < rows_;
-  return open;
+  if (wins(board::x_mask(v)) || wins(board::o_mask(v))) return 0;
+  return static_cast<unsigned>(std::popcount(open_columns(v)));
+}
+
+TreeSource::Node DropSource::child(const Node& v, unsigned i) const {
+  const unsigned c = board::nth_set_bit(open_columns(v), i, "DropSource");
+  // The piece lands on the column's lowest empty square (row 0 is the
+  // bottom).
+  const std::uint32_t free_in_column = ~board::occupied(v) & column_masks_[c];
+  return board::place(v, static_cast<unsigned>(std::countr_zero(free_in_column)));
 }
 
 Value DropSource::leaf_value(const Node& v) const {
-  const State s = replay(v);
-  if (wins(s.x)) return 1;
-  if (wins(s.o)) return -1;
+  if (wins(board::x_mask(v))) return 1;
+  if (wins(board::o_mask(v))) return -1;
   return 0;
 }
 
 std::uint64_t DropSource::state_key(const Node& v) const {
-  const State s = replay(v);
-  return mix64((std::uint64_t(s.x) << 16) | s.o) ^ key_salt_;
+  return board::state_key(v, key_salt_);
 }
 
 std::uint64_t DropSource::move_label(const Node& v, unsigned i) const {
-  return digit_to_column(replay(v), i);
+  return board::nth_set_bit(open_columns(v), i, "DropSource");
 }
 
 void DropSource::move_labels(const Node& v, unsigned d,
                              std::uint64_t* out) const {
-  const State s = replay(v);
-  // Digit i names the i-th non-full column in ascending order.
-  unsigned seen = 0;
-  for (unsigned c = 0; c < cols_ && seen < d; ++c) {
-    if (fill(s, c) == rows_) continue;
-    out[seen++] = c;
-  }
+  board::set_bits(open_columns(v), d, out);
 }
 
 std::string DropSource::board_string(const Node& v) const {
-  const State s = replay(v);
-  return render_board(s.x, s.o, squares());
+  return board::render(v, squares());
 }
 
 }  // namespace gtpar

@@ -6,7 +6,8 @@
 // of realistic, transposition-rich search workloads with depths and
 // branching factors between Nim and full tic-tac-toe.
 //
-// Boards are limited to at most 16 squares (path digits are 4 bits/ply).
+// Boards are limited to at most 16 squares: a node is its board, the two
+// occupancy masks packed into the path (games/board.hpp).
 #pragma once
 
 #include <cstdint>
@@ -23,19 +24,17 @@ class MnkSource final : public TreeSource {
   /// 1 <= cols, rows and cols*rows <= 16 and k <= max(cols, rows);
   /// throws std::invalid_argument otherwise (each dimension is validated
   /// separately, so huge inputs cannot wrap the product past the check and
-  /// corrupt the 4-bit path packing).
+  /// overflow the 16-bit occupancy masks).
   MnkSource(unsigned cols, unsigned rows, unsigned k);
 
   unsigned num_children(const Node& v) const override;
-  Node child(const Node& v, unsigned i) const override {
-    return Node{(v.path << 4) | i, v.depth + 1};
-  }
+  /// Marks the i-th empty square in ascending order; throws
+  /// std::logic_error when i is not below the empty-square count.
+  Node child(const Node& v, unsigned i) const override;
   Value leaf_value(const Node& v) const override;
   std::uint64_t state_key(const Node& v) const override;
   /// The chosen square (stable across positions, for history ordering).
   std::uint64_t move_label(const Node& v, unsigned i) const override;
-  /// All move labels at once, replaying the path a single time (move_label
-  /// replays per call; the ordering search asks for every label per node).
   void move_labels(const Node& v, unsigned d,
                    std::uint64_t* out) const override;
 
@@ -45,16 +44,11 @@ class MnkSource final : public TreeSource {
   unsigned squares() const { return cols_ * rows_; }
 
  private:
-  struct State {
-    std::uint32_t x = 0, o = 0;
-    unsigned ply = 0;
-  };
-  State replay(const Node& v) const;
   bool wins(std::uint32_t mask) const;
-  /// Square placed by choosing empty-square index `digit` at state `s`.
-  unsigned digit_to_square(const State& s, unsigned digit) const;
+  std::uint32_t empty(const Node& v) const;
 
   unsigned cols_, rows_, k_;
+  std::uint32_t all_squares_;
   std::uint64_t key_salt_;
   std::vector<std::uint32_t> lines_;
 };
@@ -64,24 +58,23 @@ class MnkSource final : public TreeSource {
 /// row. Branching is at most `cols` (not the number of empty squares), so
 /// these trees are narrower and deeper than the free-placement
 /// (m,n,k)-games — a different search profile on the same boards.
-/// Boards are limited to 16 squares and at most 8 columns (3-bit digits).
+/// Boards are limited to 16 squares and at most 8 columns.
 class DropSource final : public TreeSource {
  public:
   /// Requires 1 <= cols <= 8, 1 <= rows, cols*rows <= 16 and
   /// k <= max(cols, rows); throws std::invalid_argument otherwise (each
   /// dimension is validated separately so huge inputs cannot wrap the
-  /// product past the check and corrupt the 3-bit path packing).
+  /// product past the check and overflow the 16-bit occupancy masks).
   DropSource(unsigned cols, unsigned rows, unsigned k);
 
   unsigned num_children(const Node& v) const override;
-  Node child(const Node& v, unsigned i) const override {
-    return Node{(v.path << 3) | i, v.depth + 1};
-  }
+  /// Drops into the i-th non-full column in ascending order; throws
+  /// std::logic_error when i is not below the open-column count.
+  Node child(const Node& v, unsigned i) const override;
   Value leaf_value(const Node& v) const override;
   std::uint64_t state_key(const Node& v) const override;
   /// The chosen column (stable across positions, for history ordering).
   std::uint64_t move_label(const Node& v, unsigned i) const override;
-  /// All move labels at once, replaying the path a single time.
   void move_labels(const Node& v, unsigned d,
                    std::uint64_t* out) const override;
 
@@ -89,20 +82,16 @@ class DropSource final : public TreeSource {
   unsigned squares() const { return cols_ * rows_; }
 
  private:
-  struct State {
-    std::uint32_t x = 0, o = 0;
-    unsigned ply = 0;
-  };
-  State replay(const Node& v) const;
   bool wins(std::uint32_t mask) const;
-  /// Height of the stack in column c (number of pieces).
-  unsigned fill(const State& s, unsigned c) const;
-  /// Column chosen by non-full-column index `digit` at state `s`.
-  unsigned digit_to_column(const State& s, unsigned digit) const;
+  /// Bit c is set iff column c has room. Gravity fills a column bottom-up,
+  /// so it is full exactly when its top square is taken.
+  std::uint32_t open_columns(const Node& v) const;
 
   unsigned cols_, rows_, k_;
   std::uint64_t key_salt_;
   std::vector<std::uint32_t> lines_;
+  /// Squares of each column (bit c, c + cols, c + 2*cols, ...).
+  std::vector<std::uint32_t> column_masks_;
 };
 
 }  // namespace gtpar

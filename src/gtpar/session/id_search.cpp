@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <deque>
+#include <numeric>
 
 #include "gtpar/engine/tt.hpp"
 
@@ -61,41 +63,63 @@ struct Searcher {
     return mix64(src.state_key(v) ^ kSessionTtTag);
   }
 
-  /// Child indices of v in search order: hint move first, then killers at
-  /// this ply, then descending history score, then original order.
-  /// `labels[i]` must hold move_label(v, i) when ordering is on (fetched
-  /// batched by the caller — per-move label queries replay the position on
-  /// the mask-replay games, and this runs on every interior node).
-  void order_moves(unsigned d, unsigned ply, int suggested, bool use_ord,
-                   const std::vector<std::uint64_t>& labels,
-                   std::vector<unsigned>& idx) {
-    idx.resize(d);
-    for (unsigned i = 0; i < d; ++i) idx[i] = i;
+  /// Scratch of one ply, reused by every node searched at that ply, so a
+  /// node's search allocates nothing once the widest node and deepest ply
+  /// have been seen.
+  struct Ply {
+    std::vector<std::uint64_t> labels;  ///< move_label of each child
+    std::vector<std::uint64_t> score;   ///< ordering score of each child
+    std::vector<unsigned> order;        ///< child indices in search order
+    std::vector<unsigned> pv;           ///< best line found below the node
+  };
+  /// Indexed by ply and grown on demand, so any depth and any branching
+  /// factor work. A deque: growing it keeps valid the references that
+  /// the ancestors on the stack hold to their own plies.
+  std::deque<Ply> plies{};
+
+  Ply& ply_scratch(unsigned ply) {
+    while (plies.size() <= ply) plies.emplace_back();
+    return plies[ply];
+  }
+
+  /// Fill sc.order with v's child indices in search order: hint move
+  /// first, then killers at this ply, then descending history score, then
+  /// original order. `sc.labels[i]` must hold move_label(v, i) when
+  /// ordering is on (fetched batched by the caller, which runs this on
+  /// every interior node).
+  void order_moves(Ply& sc, unsigned d, unsigned ply, int suggested,
+                   bool use_ord) {
+    sc.order.resize(d);
+    std::iota(sc.order.begin(), sc.order.end(), 0u);
     if (!use_ord && suggested < 0) return;
-    std::vector<std::uint64_t> score(d, 0);
+    sc.score.assign(d, 0);
     for (unsigned i = 0; i < d; ++i) {
       if (static_cast<int>(i) == suggested) {
-        score[i] = kHintScore;
+        sc.score[i] = kHintScore;
         continue;
       }
       if (!use_ord) continue;
-      score[i] = ord->is_killer(ply, labels[i])
-                     ? kKillerScore
-                     : std::min(ord->history_score(labels[i]),
-                                kKillerScore - 1);
+      sc.score[i] = ord->is_killer(ply, sc.labels[i])
+                        ? kKillerScore
+                        : std::min(ord->history_score(sc.labels[i]),
+                                   kKillerScore - 1);
     }
-    std::stable_sort(idx.begin(), idx.end(),
-                     [&](unsigned a, unsigned b) { return score[a] > score[b]; });
+    // Equal scores keep child order: the order a stable sort gives, from
+    // std::sort, which needs no temporary buffer.
+    const std::uint64_t* score = sc.score.data();
+    std::sort(sc.order.begin(), sc.order.end(), [score](unsigned a, unsigned b) {
+      return score[a] != score[b] ? score[a] > score[b] : a < b;
+    });
   }
 
   /// Fail-soft alpha-beta to `depth` remaining plies. `hint_idx` is this
-  /// node's position along the PV hint (-1 once off the hinted line);
-  /// `pv_out`, when non-null, receives the best line found below v.
+  /// node's position along the PV hint (-1 once off the hinted line). The
+  /// best line found below v is left in plies[ply].pv.
   Out search_node(const Node& v, unsigned depth, Value alpha, Value beta,
-                  bool maxing, unsigned ply, int hint_idx,
-                  std::vector<unsigned>* pv_out) {
+                  bool maxing, unsigned ply, int hint_idx) {
     ++stats.nodes;
-    if (pv_out) pv_out->clear();
+    Ply& sc = ply_scratch(ply);
+    sc.pv.clear();
     const unsigned d = src.num_children(v);
     if (d == 0) {
       ++stats.leaf_evaluations;
@@ -104,9 +128,9 @@ struct Searcher {
     // The table holds only exact values, so a hit is usable at any depth
     // and under any window. Skipped at the root (the caller needs a move,
     // not just the value) and within 2 plies of the horizon: most visited
-    // nodes sit there, their subtrees are nearly free to search, and on
-    // the mask-replay games computing the key costs a full position replay
-    // — probing them buys less than the keys cost.
+    // nodes sit there, their subtrees cost a few cheap expansions, and a
+    // probe or store there is a random access to the shared table — the
+    // table traffic would cost more than it saves.
     const bool want_tt = idr.use_tt && tt != nullptr && depth >= 2;
     std::uint64_t key = 0;
     bool have_key = false;
@@ -132,18 +156,16 @@ struct Searcher {
         (*hint)[static_cast<std::size_t>(hint_idx)] < d)
       suggested = static_cast<int>((*hint)[static_cast<std::size_t>(hint_idx)]);
 
-    // Killer/history ordering needs every move's label — a position replay
-    // on the mask-replay games. Within 2 plies of the horizon a cutoff
-    // saves only a handful of leaf probes, less than the labels cost, so
-    // ordering (like the table above) starts at remaining depth 2.
+    // Killer/history ordering costs a history lookup per move. Within 2
+    // plies of the horizon a cutoff saves only a handful of leaf
+    // expansions, less than the lookups cost, so ordering (like the table
+    // above) starts at remaining depth 2.
     const bool use_ord = idr.use_ordering && ord != nullptr && depth >= 2;
-    std::vector<std::uint64_t> labels;
     if (use_ord) {
-      labels.resize(d);
-      src.move_labels(v, d, labels.data());
+      sc.labels.resize(d);
+      src.move_labels(v, d, sc.labels.data());
     }
-    std::vector<unsigned> idx;
-    order_moves(d, ply, suggested, use_ord, labels, idx);
+    order_moves(sc, d, ply, suggested, use_ord);
 
     const std::uint64_t nodes_before = stats.nodes;
     Value best = 0;
@@ -151,26 +173,27 @@ struct Searcher {
     bool all_exact = true;
     bool cutoff = false;
     bool forced = false;
-    std::vector<unsigned> line, child_line;
+    // Make this node's line the move to child i followed by the child's.
+    const auto take_line = [&](unsigned i) {
+      const std::vector<unsigned>& child_line = plies[ply + 1].pv;
+      sc.pv.clear();
+      sc.pv.push_back(i);
+      sc.pv.insert(sc.pv.end(), child_line.begin(), child_line.end());
+    };
     for (unsigned n = 0; n < d; ++n) {
-      const unsigned i = idx[n];
+      const unsigned i = sc.order[n];
       const int child_hint =
           (suggested >= 0 && i == static_cast<unsigned>(suggested))
               ? hint_idx + 1
               : -1;
-      const Out o =
-          search_node(src.child(v, i), depth - 1, alpha, beta, !maxing,
-                      ply + 1, child_hint, pv_out ? &child_line : nullptr);
+      const Out o = search_node(src.child(v, i), depth - 1, alpha, beta,
+                                !maxing, ply + 1, child_hint);
       if (stopped) return {};
       if (!o.exact) all_exact = false;
       if (!have_best || (maxing ? o.value > best : o.value < best)) {
         best = o.value;
         have_best = true;
-        if (pv_out) {
-          line.clear();
-          line.push_back(i);
-          line.insert(line.end(), child_line.begin(), child_line.end());
-        }
+        take_line(i);
       }
       if (idr.value_bound > 0 && o.exact &&
           (maxing ? o.value >= idr.value_bound
@@ -179,11 +202,7 @@ struct Searcher {
         // the remaining siblings cannot change the node value. Overwrite
         // `best` in case an earlier horizon estimate overshot the bound.
         best = o.value;
-        if (pv_out) {
-          line.clear();
-          line.push_back(i);
-          line.insert(line.end(), child_line.begin(), child_line.end());
-        }
+        take_line(i);
         forced = true;
         break;
       }
@@ -193,7 +212,7 @@ struct Searcher {
         beta = std::min(beta, best);
       if (alpha >= beta) {
         cutoff = true;
-        if (use_ord) ord->record_cutoff(ply, labels[i], depth);
+        if (use_ord) ord->record_cutoff(ply, sc.labels[i], depth);
         break;
       }
     }
@@ -208,7 +227,6 @@ struct Searcher {
                     std::min<std::uint64_t>(subtree, 0xFFFFFFFFull)));
       ++stats.tt_stores;
     }
-    if (pv_out) *pv_out = std::move(line);
     return {best, exact};
   }
 };
@@ -243,7 +261,6 @@ IdResult id_search(const TreeSource& src, const IdRequest& idr,
   s.hint = &hint;
   Value prev = 0;
   for (unsigned depth = 1; depth <= idr.max_depth; ++depth) {
-    std::vector<unsigned> pv;
     // One root search over (alpha, beta). The per-node exactness tracking
     // is conservative (a cutoff makes a node's value a bound, unusable for
     // the table), but at the ROOT a stronger upgrade applies: if the
@@ -251,11 +268,9 @@ IdResult id_search(const TreeSource& src, const IdRequest& idr,
     // inside the window, it is the true alpha-beta value of the whole game
     // — deeper iterations would repeat it. This is what stops iterative
     // deepening once the game is out-searched.
-    const auto run = [&](Value alpha, Value beta,
-                         std::vector<unsigned>* pv_out) {
+    const auto run = [&](Value alpha, Value beta) {
       const std::uint64_t heur0 = s.stats.heuristic_evaluations;
-      Searcher::Out o =
-          s.search_node(root, depth, alpha, beta, idr.maxing, 0, 0, pv_out);
+      Searcher::Out o = s.search_node(root, depth, alpha, beta, idr.maxing, 0, 0);
       if (!s.stopped && !o.exact &&
           s.stats.heuristic_evaluations == heur0 && o.value > alpha &&
           o.value < beta)
@@ -266,16 +281,16 @@ IdResult id_search(const TreeSource& src, const IdRequest& idr,
     const bool aspirate = idr.aspiration && res.complete &&
                           prev > kMinusInf + 1 && prev < kPlusInf - 1;
     if (aspirate) {
-      o = run(prev - 1, prev + 1, &pv);
+      o = run(prev - 1, prev + 1);
       if (!s.stopped && !o.exact && (o.value <= prev - 1 || o.value >= prev + 1)) {
         // Window miss: the fail-soft value is only a bound. The value
         // range of game trees is tiny, so re-search full-width at once
         // instead of widening gradually.
         ++s.stats.aspiration_researches;
-        o = run(kMinusInf, kPlusInf, &pv);
+        o = run(kMinusInf, kPlusInf);
       }
     } else {
-      o = run(kMinusInf, kPlusInf, &pv);
+      o = run(kMinusInf, kPlusInf);
     }
     if (s.stopped) break;  // discard the partial depth; keep the last one
     ++s.stats.depths_completed;
@@ -283,7 +298,7 @@ IdResult id_search(const TreeSource& src, const IdRequest& idr,
     res.exact = o.exact;
     res.depth_completed = depth;
     res.complete = true;
-    res.pv = std::move(pv);
+    res.pv = s.plies[0].pv;
     res.best_move = res.pv.empty() ? 0 : res.pv.front();
     prev = res.value;
     hint = res.pv;  // deepen along the freshest PV

@@ -49,7 +49,9 @@ struct AbShared {
   /// re-search in parallel) cheap: the re-search walks the scout's
   /// completed subtrees out of the cache instead of re-paying their
   /// leaves. Empty when a shared TranspositionTable is supplied — the TT
-  /// then plays the memo's role across every search sharing it.
+  /// then plays the memo's role across every search sharing it. Slots
+  /// start empty (0) from the vector's value-initialisation alone:
+  /// std::atomic's default constructor zero-fills since C++20.
   std::vector<std::atomic<std::int64_t>> memo;
   /// Shared TT (null = private memo) and the tree's content fingerprint
   /// for its keys.
@@ -74,7 +76,6 @@ struct AbShared {
                                    options.leaf_cost_ns)),
         free_leaves(options.tt != nullptr && options.leaf_hook == nullptr &&
                     options.leaf_cost_ns == 0) {
-    for (auto& m : memo) m.store(0, std::memory_order_relaxed);
     if (tt != nullptr) fp = tree.fingerprint();
     if (limits.budget_ns != 0)
       deadline = std::chrono::steady_clock::now() +

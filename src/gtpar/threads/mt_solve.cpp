@@ -25,6 +25,7 @@ void pay_leaf_cost(std::uint64_t ns, LeafCostModel model) {
   }
 }
 
+/// lookup()'s answer for a node whose value is not yet known.
 constexpr std::int8_t kUnknown = -1;
 
 /// Shared solver state. Node values determined by any thread are memoised
@@ -35,6 +36,9 @@ struct Shared {
   const MtSolveOptions& opt;
   Executor& exec;
   SearchLimits limits;
+  /// Node value + 1, so 0 means unknown: the vector's value-initialisation
+  /// (std::atomic's default constructor zero-fills since C++20) is the
+  /// only pass over the memo before the search starts.
   std::vector<std::atomic<std::int8_t>> val;
   /// Paid leaf evaluations. Every worker of the search counts one per
   /// leaf, so the count is sharded per thread (sharded_counter.hpp) and
@@ -57,7 +61,6 @@ struct Shared {
       : t(tree), opt(options), exec(executor), limits(lim), val(tree.size()),
         min_spawn(min_spawn_leaves(default_grain_policy(), options.grain_ns,
                                    options.leaf_cost_ns)) {
-    for (auto& v : val) v.store(kUnknown, std::memory_order_relaxed);
     if (limits.budget_ns != 0)
       deadline = std::chrono::steady_clock::now() +
                  std::chrono::nanoseconds(limits.budget_ns);
@@ -107,7 +110,7 @@ struct Shared {
   /// Returns false on stop (cancellation/deadline/permanent fault); `out`
   /// carries the leaf value on success.
   bool eval_leaf(NodeId leaf, bool& out) {
-    const std::int8_t cached = val[leaf].load(std::memory_order_acquire);
+    const std::int8_t cached = lookup(leaf);
     if (cached != kUnknown) {
       out = cached != 0;
       return true;
@@ -116,25 +119,30 @@ struct Shared {
     if (opt.leaf_hook != nullptr && !run_leaf_hook(leaf)) return false;
     pay_leaf_cost(opt.leaf_cost_ns, opt.cost_model);
     const bool b = t.leaf_value(leaf) != 0;
-    std::int8_t expected = kUnknown;
-    if (val[leaf].compare_exchange_strong(expected, b ? 1 : 0,
+    std::int8_t expected = 0;
+    if (val[leaf].compare_exchange_strong(expected, encode(b),
                                           std::memory_order_release,
                                           std::memory_order_acquire)) {
       leaf_evals.add();
       out = b;
     } else {
-      out = expected != 0;  // another thread beat us to it
+      out = expected == encode(true);  // another thread beat us to it
     }
     return true;
   }
 
+  static std::int8_t encode(bool b) { return b ? 2 : 1; }
+
   void store(NodeId v, bool b) {
-    std::int8_t expected = kUnknown;
-    val[v].compare_exchange_strong(expected, b ? 1 : 0, std::memory_order_release,
+    std::int8_t expected = 0;
+    val[v].compare_exchange_strong(expected, encode(b), std::memory_order_release,
                                    std::memory_order_acquire);
   }
 
-  std::int8_t lookup(NodeId v) const { return val[v].load(std::memory_order_acquire); }
+  /// -1 = unknown (kUnknown), 0/1 = the NOR value.
+  std::int8_t lookup(NodeId v) const {
+    return static_cast<std::int8_t>(val[v].load(std::memory_order_acquire) - 1);
+  }
 
   /// Sequential left-to-right SOLVE with memoisation and cancellation:
   /// the flat iterative kernel plugged into the shared memo. Returns the

@@ -2,6 +2,8 @@
 // oracles for the node-expansion search algorithms.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "gtpar/expand/minimax_expansion.hpp"
 #include "gtpar/games/games.hpp"
 #include "gtpar/rand/randomized.hpp"
@@ -58,6 +60,28 @@ TEST(TicTacToe, RandomizedSearchAgrees) {
   const TicTacToeSource src;
   for (std::uint64_t seed = 0; seed < 3; ++seed)
     EXPECT_EQ(run_r_parallel_ab(src, 1, seed).value, 0) << "seed " << seed;
+}
+
+TEST(TicTacToe, TransposedMoveOrdersGiveEqualNodes) {
+  // X on squares 0 and 2, O on square 1, reached in two move orders:
+  // digits {0,0,0} play X0 O1 X2; digits {2,1,0} play X2, O on the second
+  // empty square (1), X on the first (0).
+  const TicTacToeSource src;
+  auto a = src.root(), b = src.root();
+  for (const unsigned digit : {0u, 0u, 0u}) a = src.child(a, digit);
+  for (const unsigned digit : {2u, 1u, 0u}) b = src.child(b, digit);
+  EXPECT_EQ(TicTacToeSource::board_string(a), "XOX......");
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(src.state_key(a), src.state_key(b));
+}
+
+TEST(TicTacToe, OutOfRangeChildThrows) {
+  const TicTacToeSource src;
+  EXPECT_NO_THROW(src.child(src.root(), 8));
+  EXPECT_THROW(src.child(src.root(), 9), std::logic_error);
+  const auto v = src.child(src.root(), 4);
+  EXPECT_THROW(src.child(v, 8), std::logic_error);
+  EXPECT_THROW(src.move_label(v, 8), std::logic_error);
 }
 
 TEST(Nim, TheoreticalValues) {

@@ -2,6 +2,10 @@
 // against known results from the m,n,k-game literature.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "gtpar/ab/tt_search.hpp"
 #include "gtpar/expand/minimax_expansion.hpp"
 #include "gtpar/games/games.hpp"
@@ -272,6 +276,184 @@ TEST(Mnk, MoveLabelsNameTheChosenSquare) {
   EXPECT_EQ(d.move_label(w, 1), 1u);  // column identity, stable as it fills
   w = d.child(w, 1);
   EXPECT_EQ(d.move_label(w, 1), 1u);
+}
+
+
+// ---------------------------------------------------------------------------
+// The position encoding against a move-list reference. A node stores its
+// board (the two occupancy masks); the reference below instead keeps the
+// move digits and replays them from the empty board, the way the sources
+// once did, with its own win scan. Both must agree on every node near the
+// root.
+// ---------------------------------------------------------------------------
+
+struct RefGame {
+  unsigned cols, rows, k;
+  bool gravity;  ///< drop game: a move names a column
+};
+
+struct RefMove {
+  unsigned label;   ///< the square, or the column in a drop game
+  unsigned square;  ///< where the mark lands
+};
+
+/// Legal moves in digit order: empty squares ascending, or non-full
+/// columns ascending (the mark lands on the column's lowest empty row).
+std::vector<RefMove> ref_moves(const RefGame& g, const std::string& b) {
+  std::vector<RefMove> out;
+  if (!g.gravity) {
+    for (unsigned sq = 0; sq < b.size(); ++sq)
+      if (b[sq] == '.') out.push_back({sq, sq});
+    return out;
+  }
+  for (unsigned c = 0; c < g.cols; ++c) {
+    for (unsigned r = 0; r < g.rows; ++r) {
+      if (b[r * g.cols + c] == '.') {
+        out.push_back({c, r * g.cols + c});
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+bool ref_wins(const RefGame& g, const std::string& b, char mark) {
+  const int dirs[4][2] = {{1, 0}, {0, 1}, {1, 1}, {-1, 1}};
+  for (int r = 0; r < int(g.rows); ++r) {
+    for (int c = 0; c < int(g.cols); ++c) {
+      for (const auto& d : dirs) {
+        unsigned run = 0;
+        for (int i = 0; i < int(g.k); ++i) {
+          const int cc = c + d[0] * i, rr = r + d[1] * i;
+          if (cc < 0 || cc >= int(g.cols) || rr < 0 || rr >= int(g.rows) ||
+              b[unsigned(rr) * g.cols + unsigned(cc)] != mark)
+            break;
+          ++run;
+        }
+        if (run == g.k) return true;
+      }
+    }
+  }
+  return false;
+}
+
+/// Replay `digits` from the empty board.
+std::string ref_replay(const RefGame& g, const std::vector<unsigned>& digits) {
+  std::string b(g.cols * g.rows, '.');
+  for (unsigned ply = 0; ply < digits.size(); ++ply)
+    b[ref_moves(g, b).at(digits[ply]).square] = ply % 2 == 0 ? 'X' : 'O';
+  return b;
+}
+
+/// Compare src against the reference on every node within `plies` of v,
+/// reached by `digits`. Reports the first mismatch and returns false.
+template <typename Source, typename BoardFn>
+bool matches_reference(const Source& src, const RefGame& g, BoardFn board,
+                       const TreeSource::Node& v, std::vector<unsigned>& digits,
+                       unsigned plies) {
+  const auto fail = [&](const char* what) {
+    std::ostringstream where;
+    for (const unsigned d : digits) where << ' ' << d;
+    ADD_FAILURE() << what << " differs after digits" << where.str();
+    return false;
+  };
+  const std::string b = ref_replay(g, digits);
+  if (board(v) != b) return fail("board");
+  if (v.depth != digits.size()) return fail("depth");
+  const bool x_won = ref_wins(g, b, 'X'), o_won = ref_wins(g, b, 'O');
+  const std::vector<RefMove> moves = ref_moves(g, b);
+  const unsigned d = x_won || o_won ? 0 : unsigned(moves.size());
+  if (src.num_children(v) != d) return fail("num_children");
+  if (d == 0) {
+    const Value want = x_won ? 1 : o_won ? -1 : 0;
+    return src.leaf_value(v) == want || fail("leaf_value");
+  }
+  std::vector<std::uint64_t> labels(d);
+  src.move_labels(v, d, labels.data());
+  for (unsigned i = 0; i < d; ++i) {
+    if (labels[i] != moves[i].label || src.move_label(v, i) != moves[i].label)
+      return fail("move label");
+  }
+  if (plies == 0) return true;
+  for (unsigned i = 0; i < d; ++i) {
+    digits.push_back(i);
+    const bool ok =
+        matches_reference(src, g, board, src.child(v, i), digits, plies - 1);
+    digits.pop_back();
+    if (!ok) return false;
+  }
+  return true;
+}
+
+TEST(PositionEncoding, MatchesMoveListReplayWithinSixPlies) {
+  std::vector<unsigned> digits;
+  const DropSource drop(4, 3, 3);
+  EXPECT_TRUE(matches_reference(
+      drop, RefGame{4, 3, 3, true},
+      [&](const TreeSource::Node& v) { return drop.board_string(v); },
+      drop.root(), digits, 6));
+  const MnkSource mnk(3, 3, 3);
+  EXPECT_TRUE(matches_reference(
+      mnk, RefGame{3, 3, 3, false},
+      [&](const TreeSource::Node& v) { return mnk.board_string(v); },
+      mnk.root(), digits, 6));
+  const TicTacToeSource ttt;
+  EXPECT_TRUE(matches_reference(ttt, RefGame{3, 3, 3, false},
+                                TicTacToeSource::board_string, ttt.root(),
+                                digits, 6));
+}
+
+TEST(PositionEncoding, TransposedMoveOrdersGiveEqualNodes) {
+  // X col 0, O col 1, X col 2 in either order of X's drops.
+  const DropSource drop(4, 3, 3);
+  auto d1 = drop.root(), d2 = drop.root();
+  for (const unsigned digit : {0u, 1u, 2u}) d1 = drop.child(d1, digit);
+  for (const unsigned digit : {2u, 1u, 0u}) d2 = drop.child(d2, digit);
+  EXPECT_EQ(d1, d2);
+  EXPECT_EQ(drop.state_key(d1), drop.state_key(d2));
+  // X on squares 0 and 2, O on square 1: digits {0,0,0} place X0 O1 X2;
+  // digits {2,1,0} place X2, then O on the second empty square (1), then
+  // X on the first (0).
+  const MnkSource mnk(4, 4, 3);
+  auto m1 = mnk.root(), m2 = mnk.root();
+  for (const unsigned digit : {0u, 0u, 0u}) m1 = mnk.child(m1, digit);
+  for (const unsigned digit : {2u, 1u, 0u}) m2 = mnk.child(m2, digit);
+  EXPECT_EQ(m1, m2);
+  EXPECT_EQ(mnk.state_key(m1), mnk.state_key(m2));
+  EXPECT_EQ(mnk.board_string(m1), "XOX.............");
+}
+
+TEST(PositionEncoding, OutOfRangeChildThrows) {
+  const MnkSource mnk(3, 3, 3);
+  const auto v = mnk.child(mnk.root(), 4);  // 8 empty squares left
+  EXPECT_NO_THROW(mnk.child(v, 7));
+  EXPECT_THROW(mnk.child(v, 8), std::logic_error);
+  EXPECT_THROW(mnk.move_label(v, 8), std::logic_error);
+  const DropSource drop(3, 3, 3);
+  auto w = drop.root();
+  for (const unsigned digit : {0u, 0u, 0u}) w = drop.child(w, digit);
+  // Column 0 is full: two columns remain open.
+  EXPECT_NO_THROW(drop.child(w, 1));
+  EXPECT_THROW(drop.child(w, 2), std::logic_error);
+  EXPECT_THROW(drop.move_label(w, 2), std::logic_error);
+}
+
+TEST(PositionEncoding, StateKeysAreUnchanged) {
+  // Keys recorded from the move-list encoding: a table persisted or shared
+  // across builds must keep reading the same entries.
+  auto at = [](const auto& src, std::initializer_list<unsigned> digits) {
+    auto v = src.root();
+    for (const unsigned d : digits) v = src.child(v, d);
+    return src.state_key(v);
+  };
+  const TicTacToeSource ttt;
+  EXPECT_EQ(at(ttt, {}), 0x152a6fac5752aafaull);
+  EXPECT_EQ(at(ttt, {4, 0}), 0x140bf62eeb11822ull);
+  EXPECT_EQ(at(MnkSource(3, 3, 3), {0, 2, 0}), 0x81bd87e5ea350c5full);
+  EXPECT_EQ(at(MnkSource(4, 4, 3), {5, 3, 7, 1}), 0x60c73f4c340fe8b7ull);
+  EXPECT_EQ(at(DropSource(4, 4, 4), {}), 0xc80f98ddd08f16eaull);
+  EXPECT_EQ(at(DropSource(4, 4, 4), {1, 2, 1}), 0x4eaf824df04228a2ull);
+  EXPECT_EQ(at(DropSource(4, 3, 3), {0, 0, 3, 1}), 0x9d82ad5b8a9cd574ull);
 }
 
 }  // namespace

@@ -107,6 +107,71 @@ TEST(IdSearch, PvIsALegalLine) {
 }
 
 // ---------------------------------------------------------------------------
+// Pinned searches. Single thread, private table: the search is
+// deterministic, so these counts fix the move order and the table traffic.
+// A change to how children are ordered or expanded that alters the search
+// fails here even when the value stays right.
+// ---------------------------------------------------------------------------
+
+struct Pinned {
+  std::vector<unsigned> opening;
+  unsigned max_depth;
+  std::uint64_t nodes, tt_probes, tt_stores;
+  std::vector<unsigned> pv;
+  Value value;
+};
+
+void expect_pinned(const TreeSource& src, const Pinned& p) {
+  TreeSource::Node v = src.root();
+  for (const unsigned m : p.opening) v = src.child(v, m);
+  IdRequest idr;
+  idr.root = v;
+  idr.root_set = true;
+  idr.maxing = v.depth % 2 == 0;
+  idr.max_depth = p.max_depth;
+  idr.value_bound = 1;
+  TranspositionTable tt(1 << 14);
+  const IdResult r = id_search(src, idr, &tt, SearchLimits{});
+  EXPECT_EQ(r.stats.nodes, p.nodes);
+  EXPECT_EQ(r.stats.tt_probes, p.tt_probes);
+  EXPECT_EQ(r.stats.tt_stores, p.tt_stores);
+  EXPECT_EQ(r.pv, p.pv);
+  EXPECT_EQ(r.value, p.value);
+}
+
+TEST(IdSearchPinned, DropFourByFour) {
+  const DropSource drop(4, 4, 4);
+  // A horizon-bounded search (heuristic 0 at depth 6), two full solves of
+  // drawn openings, and a six-ply opening that X wins.
+  expect_pinned(drop, {{}, 6, 509, 106, 0, {0, 0, 0, 0, 0, 0}, 0});
+  expect_pinned(drop, {{0, 1}, 64, 31479, 14693, 742,
+                       {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, 0});
+  expect_pinned(drop, {{1, 2}, 64, 41551, 18903, 1463,
+                       {0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0}, 0});
+  expect_pinned(drop, {{1, 2, 1, 2, 0, 3}, 64, 1549, 564, 60,
+                       {1, 1, 1, 1, 1, 0, 0, 0, 0}, 1});
+}
+
+TEST(IdSearchPinned, TicTacToe) {
+  const TicTacToeSource ttt;
+  expect_pinned(ttt, {{}, 64, 13250, 4338, 837, {0, 3, 0, 0, 2, 0, 0, 0, 0}, 0});
+  expect_pinned(ttt, {{4, 0}, 64, 1251, 418, 79, {0, 4, 1, 1, 1, 0, 0}, 0});
+}
+
+TEST(IdSearch, OrderingHandlesWideRoots) {
+  // 100 moves at the root and at every node above 100 objects: the
+  // per-ply ordering scratch must grow to any branching factor.
+  const NimSource nim(200, 100);
+  TranspositionTable tt(1 << 12);
+  IdRequest idr;
+  idr.value_bound = 1;
+  ASSERT_TRUE(idr.use_ordering);
+  const IdResult r = id_search(nim, idr, &tt, SearchLimits{});
+  EXPECT_EQ(r.value, NimSource::theoretical_value(200, 100));
+  EXPECT_TRUE(r.exact);
+}
+
+// ---------------------------------------------------------------------------
 // Differential suite: suggested moves must be minimax-optimal. Covers the
 // forced-win positions (a winning side must pick a winning move) as the
 // special case where optimality is sharpest.
