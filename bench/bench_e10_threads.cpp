@@ -1,6 +1,7 @@
 // E10 — wall-clock evidence with real std::threads: the width-1 cascade
-// (mt_solve / mt_ab) against single-threaded baselines under the same
-// leaf-cost model. Uses google-benchmark.
+// (kMtParallelSolve / kMtParallelAb through search(req, pool)) against the
+// single-threaded baselines under the same leaf-cost model. Uses
+// google-benchmark.
 //
 // Leaf evaluations are modelled as fixed-latency operations (kSleep): this
 // matches the paper's unit-cost leaf oracle and — unlike a busy spin —
@@ -9,9 +10,8 @@
 // with 8 cores, switch kCostModel to kSpin to see CPU-bound speed-ups).
 #include <benchmark/benchmark.h>
 
+#include "gtpar/engine/api.hpp"
 #include "gtpar/engine/work_stealing.hpp"
-#include "gtpar/threads/mt_ab.hpp"
-#include "gtpar/threads/mt_solve.hpp"
 #include "gtpar/tree/generators.hpp"
 
 namespace gtpar {
@@ -32,32 +32,35 @@ const Tree& ab_tree() {
   return t;
 }
 
+SearchRequest request(const Tree& t, Algorithm algorithm) {
+  SearchRequest req;
+  req.tree = &t;
+  req.algorithm = algorithm;
+  req.leaf_cost_ns = kLeafNs;
+  req.cost_model = kCostModel;
+  return req;
+}
+
 void BM_SequentialSolve(benchmark::State& state) {
-  const Tree& t = solve_tree();
-  MtSolveOptions opt;
-  opt.leaf_cost_ns = kLeafNs;
-  opt.cost_model = kCostModel;
+  const SearchRequest req = request(solve_tree(), Algorithm::kMtSequentialSolve);
   std::uint64_t leaves = 0;
   for (auto _ : state) {
-    auto r = mt_sequential_solve(t, opt);
+    auto r = search(req);
     benchmark::DoNotOptimize(r.value);
-    leaves = r.leaf_evaluations;
+    leaves = r.work;
   }
   state.counters["leaves"] = static_cast<double>(leaves);
 }
 BENCHMARK(BM_SequentialSolve)->Unit(benchmark::kMillisecond)->MinTime(0.4);
 
 void BM_ParallelSolve(benchmark::State& state) {
-  const Tree& t = solve_tree();
+  const SearchRequest req = request(solve_tree(), Algorithm::kMtParallelSolve);
   WorkStealingPool pool(static_cast<unsigned>(state.range(0)));
-  MtSolveOptions opt;
-  opt.leaf_cost_ns = kLeafNs;
-  opt.cost_model = kCostModel;
   std::uint64_t leaves = 0;
   for (auto _ : state) {
-    auto r = mt_parallel_solve(t, opt, pool);
+    auto r = search(req, pool);
     benchmark::DoNotOptimize(r.value);
-    leaves = r.leaf_evaluations;
+    leaves = r.work;
   }
   state.counters["leaves"] = static_cast<double>(leaves);
 }
@@ -71,25 +74,19 @@ BENCHMARK(BM_ParallelSolve)
     ->MinTime(0.4);
 
 void BM_SequentialAlphaBeta(benchmark::State& state) {
-  const Tree& t = ab_tree();
-  MtAbOptions opt;
-  opt.leaf_cost_ns = kLeafNs;
-  opt.cost_model = kCostModel;
+  const SearchRequest req = request(ab_tree(), Algorithm::kMtSequentialAb);
   for (auto _ : state) {
-    auto r = mt_sequential_ab(t, opt);
+    auto r = search(req);
     benchmark::DoNotOptimize(r.value);
   }
 }
 BENCHMARK(BM_SequentialAlphaBeta)->Unit(benchmark::kMillisecond)->MinTime(0.4);
 
 void BM_ParallelAlphaBeta(benchmark::State& state) {
-  const Tree& t = ab_tree();
+  const SearchRequest req = request(ab_tree(), Algorithm::kMtParallelAb);
   WorkStealingPool pool(static_cast<unsigned>(state.range(0)));
-  MtAbOptions opt;
-  opt.leaf_cost_ns = kLeafNs;
-  opt.cost_model = kCostModel;
   for (auto _ : state) {
-    auto r = mt_parallel_ab(t, opt, pool);
+    auto r = search(req, pool);
     benchmark::DoNotOptimize(r.value);
   }
 }

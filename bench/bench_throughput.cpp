@@ -7,22 +7,15 @@
 //                 regression guard for the implementation, not an
 //                 experiment.
 //
-//  --throughput   multi-tree requests/sec of the batched engine, in two
-//                 leaf-cost regimes:
-//
-//                 * zero leaf cost (spin): the scheduler itself is the
-//                   bottleneck. Work-stealing engine at workers 1/2/4/8,
-//                   shared TT off.
-//
-//                 * HEADLINE: nonzero leaf cost (200 / 2000 ns nominal,
-//                   LeafCostModel::kSleep — latency-bound evaluation, so
-//                   concurrency overlaps the waits even on few cores; a
-//                   spin model would measure core count, not the engine).
-//                   Work-stealing engine only, workers 1/2/4/8, shared TT
-//                   off and grain auto; the 8-vs-1-worker ratio at 2000 ns
-//                   is the scaling headline. Ablation cells at 8 workers:
-//                   grain pinned to always-spawn (task-granularity cost)
-//                   and shared TT on (cross-request value reuse uplift).
+//  --throughput   multi-tree requests/sec of the batched engine on a
+//                 zero-leaf-cost mixed stream: the scheduler itself is the
+//                 bottleneck. Work-stealing engine at workers 1/2/4/8,
+//                 shared TT off, plus a grain-off ablation at 8 workers
+//                 (grain pinned to always-spawn: the task count that
+//                 adaptive granularity saves). End-to-end CPU-bound engine
+//                 throughput and tail latency are gtbench's batch-cpu
+//                 workload (BENCHMARK.json); this mode keeps the checks
+//                 that are deterministic or robust on a noisy host.
 //
 //                 Reports sustained requests/sec, request-dispatch and
 //                 end-to-end completion latency (avg / p99 / p99.9 over
@@ -31,21 +24,13 @@
 //                 kernels (solve/batch_kernels.hpp) against the plain flat
 //                 kernels on a leaf-heavy tree sweep — the ablation for the
 //                 vectorized leaf-frontier floor. Options:
-//                    --quick        smaller zero-cost stream, fewer reps
+//                    --quick        smaller stream, fewer reps
 //                    --json PATH    write results as JSON (default
 //                                   BENCH_throughput.json)
 //                    --check        exit non-zero if any CI gate fails:
-//                                   (b) 8-worker req/s on the 2000 ns sleep
-//                                   workload is below 1.2x the 1-worker
-//                                   number, (c) adaptive granularity cuts
+//                                   (c) adaptive granularity cuts
 //                                   scheduler tasks by less than 10x on
-//                                   the zero-cost workload, (d) p99
-//                                   completion latency exceeds 5x the mean
-//                                   on the 8-worker 2000 ns sleep cell
-//                                   (tail blowup; an open-loop burst
-//                                   spreads completions roughly uniformly
-//                                   over the wall time, so p99/avg sits
-//                                   near 2x when healthy), or (e) the
+//                                   the zero-cost workload, or (e) the
 //                                   batch leaf kernels are slower than the
 //                                   plain flat kernels on the leaf-heavy
 //                                   sweep
@@ -139,9 +124,8 @@ struct CellResult {
   unsigned workers = 0;
   const char* scheduler = "";
   std::size_t requests = 0;
-  std::uint64_t leaf_cost_ns = 0;  // nominal per-leaf cost of the workload
-  std::uint64_t wall_ns = 0;       // best repetition
-  double rps = 0.0;                // requests/sec at the best repetition
+  std::uint64_t wall_ns = 0;  // best repetition
+  double rps = 0.0;           // requests/sec at the best repetition
   /// Per-request latency distribution at the best repetition, sampled from
   /// the job handles (SearchJob::dispatch_ns / completion_ns).
   std::uint64_t avg_dispatch_ns = 0;
@@ -152,7 +136,6 @@ struct CellResult {
   std::uint64_t p99_completion_ns = 0;
   std::uint64_t p999_completion_ns = 0;
   WorkStealingStats sched_stats{};
-  TranspositionTable::Stats tt{};  // zeros when the shared TT is off
 };
 
 /// A tree plus which value domain it carries (NOR trees hold {0,1} leaves,
@@ -162,23 +145,18 @@ struct TaggedTree {
   bool minimax = false;
 };
 
-/// Mixed workload over the tree set. With zero leaf cost the stream is
-/// scheduler-bound (submit, wake, steal dominate); with a nonzero cost and
-/// LeafCostModel::kSleep it is latency-bound and measures how well the
-/// engine overlaps in-flight requests. `grain` is the per-request task
-/// granularity (0 = auto-calibrated, 1 = always spawn).
-std::vector<SearchRequest> build_workload(
-    const std::vector<TaggedTree>& trees, std::size_t count,
-    std::uint64_t leaf_cost_ns = 0,
-    LeafCostModel cost_model = LeafCostModel::kSpin, std::uint64_t grain = 0) {
+/// Mixed zero-leaf-cost workload over the tree set: the stream is
+/// scheduler-bound (submit, wake, steal dominate). `grain` is the
+/// per-request task granularity (0 = auto-calibrated, 1 = always spawn).
+std::vector<SearchRequest> build_workload(const std::vector<TaggedTree>& trees,
+                                          std::size_t count,
+                                          std::uint64_t grain = 0) {
   std::vector<SearchRequest> reqs;
   reqs.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     const TaggedTree& t = trees[i % trees.size()];
     SearchRequest req;
     req.tree = &t.tree;
-    req.leaf_cost_ns = leaf_cost_ns;
-    req.cost_model = cost_model;
     req.grain = grain;
     req.width = 1 + unsigned(i % 3);
     req.algorithm =
@@ -189,22 +167,19 @@ std::vector<SearchRequest> build_workload(
 }
 
 /// One engine cell: a fresh Engine per repetition (stats are per-rep),
-/// best-of-reps wall time. `tt_entries` = 0 keeps the shared TT off, so
-/// cells are comparable against each other unless a cell opts in.
+/// best-of-reps wall time, shared TT off.
 CellResult run_cell(unsigned workers, const std::vector<SearchRequest>& reqs,
-                    int reps, const char* label = "work-stealing",
-                    std::size_t tt_entries = 0) {
+                    int reps, const char* label = "work-stealing") {
   CellResult cell;
   cell.workers = workers;
   cell.scheduler = label;
   cell.requests = reqs.size();
-  if (!reqs.empty()) cell.leaf_cost_ns = reqs.front().leaf_cost_ns;
   cell.wall_ns = UINT64_MAX;
   std::vector<double> dispatch_ns, completion_ns;  // best repetition's samples
   for (int rep = 0; rep < reps; ++rep) {
     Engine::Options opt;
     opt.workers = workers;
-    opt.tt_entries = tt_entries;
+    opt.tt_entries = 0;
     Engine eng(opt);
     std::vector<SearchJob> jobs;
     jobs.reserve(reqs.size());
@@ -225,7 +200,6 @@ CellResult run_cell(unsigned workers, const std::vector<SearchRequest>& reqs,
       cell.avg_dispatch_ns = s.completed ? s.total_dispatch_ns / s.completed : 0;
       cell.max_dispatch_ns = s.max_dispatch_ns;
       cell.sched_stats = s.scheduler;
-      cell.tt = s.tt;
       dispatch_ns.clear();
       completion_ns.clear();
       for (SearchJob& job : jobs) {
@@ -398,10 +372,7 @@ BatchAblation run_batch_ablation(int reps) {
 
 /// Headline ratios reported at the top of the JSON (and gated by --check).
 struct Headlines {
-  double scaling_8v1_at_2000ns = 0.0;      // sleep sweep (the headline)
   double task_reduction_auto_grain = 0.0;  // always-spawn tasks / auto tasks
-  double tt_uplift_at_2000ns = 0.0;        // shared-TT rps / TT-off rps, 8 workers
-  double p99_completion_over_avg = 0.0;    // 8-worker 2000 ns sleep cell
   double batch_kernel_speedup = 0.0;       // min(solve, ab) flat/batch ratio
 };
 
@@ -416,18 +387,11 @@ void write_json(const char* path, const std::vector<CellResult>& cells,
   }
   std::fprintf(f, "{\n  \"benchmark\": \"engine_throughput\",\n");
   std::fprintf(f, "  \"workload\": {\"requests\": %zu, \"repetitions\": %d, "
-                  "\"widths\": [1, 2, 3], \"leaf_cost_sweep_ns\": [0, 200, 2000], "
-                  "\"nonzero_cost_model\": \"sleep\"},\n",
+                  "\"widths\": [1, 2, 3], \"leaf_cost_ns\": 0},\n",
                requests, reps);
   std::fprintf(f, "  \"headline\": {\n");
-  std::fprintf(f, "    \"scaling_8v1_rps_at_2000ns_sleep\": %.3f,\n",
-               h.scaling_8v1_at_2000ns);
   std::fprintf(f, "    \"task_reduction_auto_grain_vs_always_spawn\": %.1f,\n",
                h.task_reduction_auto_grain);
-  std::fprintf(f, "    \"shared_tt_rps_uplift_at_2000ns_8_workers\": %.3f,\n",
-               h.tt_uplift_at_2000ns);
-  std::fprintf(f, "    \"p99_completion_over_avg_at_2000ns_8_workers\": %.3f,\n",
-               h.p99_completion_over_avg);
   std::fprintf(f, "    \"batch_kernel_speedup\": %.3f\n",
                h.batch_kernel_speedup);
   std::fprintf(f, "  },\n");
@@ -454,16 +418,14 @@ void write_json(const char* path, const std::vector<CellResult>& cells,
     std::fprintf(
         f,
         "    {\"workers\": %u, \"scheduler\": \"%s\", \"requests\": %zu, "
-        "\"leaf_cost_ns\": %llu, "
         "\"wall_ns\": %llu, \"requests_per_sec\": %.1f, "
         "\"avg_dispatch_ns\": %llu, \"max_dispatch_ns\": %llu, "
         "\"p99_dispatch_ns\": %llu, \"p999_dispatch_ns\": %llu, "
         "\"avg_completion_ns\": %llu, \"p99_completion_ns\": %llu, "
         "\"p999_completion_ns\": %llu, "
         "\"tasks_executed\": %llu, \"steals\": %llu, \"inline_runs\": %llu, "
-        "\"parks\": %llu, \"tt_probes\": %llu, \"tt_hits\": %llu}%s\n",
+        "\"parks\": %llu}%s\n",
         c.workers, c.scheduler, c.requests,
-        static_cast<unsigned long long>(c.leaf_cost_ns),
         static_cast<unsigned long long>(c.wall_ns), c.rps,
         static_cast<unsigned long long>(c.avg_dispatch_ns),
         static_cast<unsigned long long>(c.max_dispatch_ns),
@@ -476,8 +438,6 @@ void write_json(const char* path, const std::vector<CellResult>& cells,
         static_cast<unsigned long long>(c.sched_stats.steals),
         static_cast<unsigned long long>(c.sched_stats.inline_runs),
         static_cast<unsigned long long>(c.sched_stats.parks),
-        static_cast<unsigned long long>(c.tt.probes),
-        static_cast<unsigned long long>(c.tt.hits),
         i + 1 < cells.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -498,27 +458,22 @@ int run_throughput(bool quick, const char* json_path, bool check, bool faults) {
 
   const std::size_t count = quick ? 64 : 256;
   const int reps = quick ? 3 : 5;
-  // The sleep sweep pays real wall time per leaf (a nominal 200-2000 ns
-  // sleep costs ~70 us on a stock Linux timer slack), so it runs a fixed
-  // modest stream with few reps regardless of --quick.
-  const std::size_t sweep_count = 64;
-  const int sweep_reps = 2;
   const std::vector<SearchRequest> reqs = build_workload(trees, count);
 
   std::printf("engine throughput: %zu mixed requests, best of %d reps\n\n", count,
               reps);
-  std::printf("| workers | scheduler         | leaf ns | req/s    | avg dispatch | p99 dispatch | p99 compl    | tasks  | steals |\n");
-  std::printf("|---------|-------------------|---------|----------|--------------|--------------|--------------|--------|--------|\n");
+  std::printf("| workers | scheduler         | req/s    | avg dispatch | p99 dispatch | p99 compl    | tasks  | steals |\n");
+  std::printf("|---------|-------------------|----------|--------------|--------------|--------------|--------|--------|\n");
 
   std::vector<CellResult> cells;
   double ws4 = 0.0;
   std::uint64_t tasks_auto_8 = 0;
   const auto emit = [&](const CellResult& c) {
     std::printf(
-        "| %-7u | %-17s | %-7llu | %-8.0f | %9llu ns | %9llu ns | %9llu ns | "
+        "| %-7u | %-17s | %-8.0f | %9llu ns | %9llu ns | %9llu ns | "
         "%-6llu | %-6llu |\n",
-        c.workers, c.scheduler, static_cast<unsigned long long>(c.leaf_cost_ns),
-        c.rps, static_cast<unsigned long long>(c.avg_dispatch_ns),
+        c.workers, c.scheduler, c.rps,
+        static_cast<unsigned long long>(c.avg_dispatch_ns),
         static_cast<unsigned long long>(c.p99_dispatch_ns),
         static_cast<unsigned long long>(c.p99_completion_ns),
         static_cast<unsigned long long>(c.sched_stats.executed),
@@ -538,50 +493,12 @@ int run_throughput(bool quick, const char* json_path, bool check, bool faults) {
   // to always-spawn reproduces the pre-grain task flood; the ratio against
   // the auto-grain cell is the task-reduction headline.
   const CellResult grain_off_c0 =
-      run_cell(8, build_workload(trees, count, 0, LeafCostModel::kSpin, 1),
-               reps, "ws-grain-off");
+      run_cell(8, build_workload(trees, count, 1), reps, "ws-grain-off");
   emit(grain_off_c0);
   const double task_reduction =
       tasks_auto_8 > 0
           ? double(grain_off_c0.sched_stats.executed) / double(tasks_auto_8)
           : 0.0;
-
-  // HEADLINE sweep: latency-bound leaves (kSleep), work-stealing engine,
-  // TT off, auto grain. Scaling here comes from overlapping in-flight
-  // requests' leaf waits, so it holds even on a single-core runner.
-  double sleep1_2000 = 0.0, sleep8_2000 = 0.0;
-  CellResult sleep8_cell;  // the p99-gated cell (8 workers, 2000 ns sleep)
-  std::vector<SearchRequest> sweep_2000;
-  for (const std::uint64_t cost : {std::uint64_t{200}, std::uint64_t{2000}}) {
-    const std::vector<SearchRequest> sreqs =
-        build_workload(trees, sweep_count, cost, LeafCostModel::kSleep, 0);
-    for (unsigned workers : {1u, 2u, 4u, 8u}) {
-      const CellResult c = run_cell(workers, sreqs, sweep_reps);
-      emit(c);
-      if (cost == 2000) {
-        if (workers == 1) sleep1_2000 = c.rps;
-        if (workers == 8) {
-          sleep8_2000 = c.rps;
-          sleep8_cell = c;
-        }
-      }
-    }
-    if (cost == 2000) sweep_2000 = sreqs;
-  }
-  const double scaling_8v1 =
-      sleep1_2000 > 0.0 ? sleep8_2000 / sleep1_2000 : 0.0;
-
-  // Ablations at 8 workers / 2000 ns: grain pinned to always-spawn (what
-  // adaptive granularity buys under real leaf cost), and the shared TT
-  // switched on (cross-request value reuse on the repeating tree mix).
-  const CellResult grain_off_sleep = run_cell(
-      8, build_workload(trees, sweep_count, 2000, LeafCostModel::kSleep, 1),
-      sweep_reps, "ws-grain-off");
-  emit(grain_off_sleep);
-  const CellResult tt_on = run_cell(8, sweep_2000, sweep_reps, "ws+shared-tt",
-                                    std::size_t{1} << 16);
-  emit(tt_on);
-  const double tt_uplift = sleep8_2000 > 0.0 ? tt_on.rps / sleep8_2000 : 0.0;
 
   // Resilience overhead: the 4-worker work-stealing stream with the leaf
   // hook + retry plumbing armed but inert (zero faults actually fired),
@@ -610,33 +527,14 @@ int run_throughput(bool quick, const char* json_path, bool check, bool faults) {
   const BatchAblation batch = run_batch_ablation(quick ? 25 : 50);
 
   Headlines h;
-  h.scaling_8v1_at_2000ns = scaling_8v1;
   h.task_reduction_auto_grain = task_reduction;
-  h.tt_uplift_at_2000ns = tt_uplift;
-  h.p99_completion_over_avg =
-      sleep8_cell.avg_completion_ns > 0
-          ? double(sleep8_cell.p99_completion_ns) /
-                double(sleep8_cell.avg_completion_ns)
-          : 0.0;
   h.batch_kernel_speedup = std::min(batch.solve_speedup, batch.ab_speedup);
 
-  std::printf("\nHEADLINE: 8-vs-1-worker scaling on the 2000 ns sleep workload: %.2fx\n",
-              scaling_8v1);
-  std::printf("adaptive granularity task reduction (always-spawn / auto, 8 workers): "
+  std::printf("\nadaptive granularity task reduction (always-spawn / auto, 8 workers): "
               "%.0fx (%llu -> %llu tasks)\n",
               task_reduction,
               static_cast<unsigned long long>(grain_off_c0.sched_stats.executed),
               static_cast<unsigned long long>(tasks_auto_8));
-  std::printf("shared-TT uplift at 2000 ns / 8 workers: %.2fx "
-              "(%llu probes, %llu hits)\n",
-              tt_uplift, static_cast<unsigned long long>(tt_on.tt.probes),
-              static_cast<unsigned long long>(tt_on.tt.hits));
-  std::printf("completion tail at 2000 ns / 8 workers: avg %llu ns, "
-              "p99 %llu ns, p99.9 %llu ns (p99/avg %.2fx)\n",
-              static_cast<unsigned long long>(sleep8_cell.avg_completion_ns),
-              static_cast<unsigned long long>(sleep8_cell.p99_completion_ns),
-              static_cast<unsigned long long>(sleep8_cell.p999_completion_ns),
-              h.p99_completion_over_avg);
   std::printf("batch leaf kernels (%llu leaves/sweep): "
               "solve %.2fx over flat (%llu -> %llu ns), "
               "ab %.2fx over flat (%llu -> %llu ns)\n",
@@ -661,27 +559,11 @@ int run_throughput(bool quick, const char* json_path, bool check, bool faults) {
   write_json(json_path, cells, count, reps, h, batch, faults,
              zero_fault_overhead, storm_ratio);
 
-  if (check && scaling_8v1 < 1.2) {
-    std::fprintf(stderr,
-                 "FAIL: 8-worker work-stealing throughput on the 2000 ns "
-                 "sleep workload is only %.2fx the 1-worker number "
-                 "(gate: 1.2x)\n",
-                 scaling_8v1);
-    return 1;
-  }
   if (check && task_reduction < 10.0) {
     std::fprintf(stderr,
                  "FAIL: adaptive granularity cut scheduler tasks by only "
                  "%.1fx on the zero-cost workload (gate: 10x)\n",
                  task_reduction);
-    return 1;
-  }
-  if (check && h.p99_completion_over_avg > 5.0) {
-    std::fprintf(stderr,
-                 "FAIL: p99 completion latency is %.2fx the mean on the "
-                 "8-worker 2000 ns sleep cell (gate: 5x; an open-loop "
-                 "burst sits near 2x when healthy)\n",
-                 h.p99_completion_over_avg);
     return 1;
   }
   if (check && h.batch_kernel_speedup < 1.0) {

@@ -56,30 +56,6 @@ SearchResult from_value_run(const ValueRun& r) {
   return SearchResult{r.value, r.stats.work, r.stats.steps, 0, true, {}};
 }
 
-SearchResult from_mt_solve(const MtSolveResult& r) {
-  SearchResult out;
-  out.value = r.value ? 1 : 0;
-  out.work = r.leaf_evaluations;
-  out.wall_ns = r.wall_ns;
-  out.complete = r.complete;
-  out.completeness = r.completeness;
-  out.retries = r.retries;
-  out.faults = r.faults;
-  return out;
-}
-
-SearchResult from_mt_ab(const MtAbResult& r) {
-  SearchResult out;
-  out.value = r.value;
-  out.work = r.leaf_evaluations;
-  out.wall_ns = r.wall_ns;
-  out.complete = r.complete;
-  out.completeness = r.completeness;
-  out.retries = r.retries;
-  out.faults = r.faults;
-  return out;
-}
-
 /// Dispatch on the algorithm id. `exec` is non-null iff the caller
 /// supplied a scheduler for the Mt cascades.
 SearchResult dispatch(const SearchRequest& req, const Tree* t,
@@ -109,24 +85,10 @@ SearchResult dispatch(const SearchRequest& req, const Tree* t,
       const auto r = run_message_passing_solve(*src);
       return SearchResult{r.value ? 1 : 0, r.expansions, r.rounds, 0, true, {}};
     }
-    case Algorithm::kMtSequentialSolve: {
-      MtSolveOptions opt;
-      opt.leaf_cost_ns = req.leaf_cost_ns;
-      opt.cost_model = req.cost_model;
-      opt.leaf_hook = req.leaf_hook;
-      opt.retry = req.retry;
-      return from_mt_solve(mt_sequential_solve(*t, opt, req.limits));
-    }
-    case Algorithm::kMtParallelSolve: {
-      MtSolveOptions opt;
-      opt.width = req.width;
-      opt.leaf_cost_ns = req.leaf_cost_ns;
-      opt.cost_model = req.cost_model;
-      opt.grain_ns = req.grain;
-      opt.leaf_hook = req.leaf_hook;
-      opt.retry = req.retry;
-      return from_mt_solve(mt_parallel_solve(*t, opt, *exec, req.limits));
-    }
+    case Algorithm::kMtSequentialSolve:
+      return mt_sequential_solve(*t, req);
+    case Algorithm::kMtParallelSolve:
+      return mt_parallel_solve(*t, req, *exec);
     case Algorithm::kFlatSolve: {
       const FlatSolveRun r = flat_solve(*t);
       return SearchResult{r.value ? 1 : 0, r.leaves_evaluated,
@@ -190,27 +152,10 @@ SearchResult dispatch(const SearchRequest& req, const Tree* t,
           depth_limited_ab(*src, depth, [](const TreeSource::Node&) { return Value{0}; });
       return SearchResult{r.value, r.leaf_evaluations, 0, 0, true, {}};
     }
-    case Algorithm::kMtSequentialAb: {
-      MtAbOptions opt;
-      opt.leaf_cost_ns = req.leaf_cost_ns;
-      opt.cost_model = req.cost_model;
-      opt.tt = req.tt;
-      opt.leaf_hook = req.leaf_hook;
-      opt.retry = req.retry;
-      return from_mt_ab(mt_sequential_ab(*t, opt, req.limits));
-    }
-    case Algorithm::kMtParallelAb: {
-      MtAbOptions opt;
-      opt.width = req.width;
-      opt.leaf_cost_ns = req.leaf_cost_ns;
-      opt.cost_model = req.cost_model;
-      opt.promotion = req.promotion;
-      opt.grain_ns = req.grain;
-      opt.tt = req.tt;
-      opt.leaf_hook = req.leaf_hook;
-      opt.retry = req.retry;
-      return from_mt_ab(mt_parallel_ab(*t, opt, *exec, req.limits));
-    }
+    case Algorithm::kMtSequentialAb:
+      return mt_sequential_ab(*t, req);
+    case Algorithm::kMtParallelAb:
+      return mt_parallel_ab(*t, req, *exec);
     case Algorithm::kFlatAb: {
       const FlatAbRun r = flat_alphabeta(*t);
       return SearchResult{r.value, r.leaves_evaluated, 0, 0, true, {}};

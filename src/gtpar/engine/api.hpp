@@ -9,11 +9,12 @@
 //   req.threads = 8;
 //   SearchResult r = search(req);
 //
-// replaces the per-algorithm option structs (MtSolveOptions, MtAbOptions,
-// the run_* free functions) that each example and harness used to wire up
-// by hand. The differential-oracle registry (check/registry.cpp) and the
-// batched evaluation engine (engine/engine.hpp) are expressed directly on
-// top of it.
+// replaces the per-algorithm option and result structs and the run_* free
+// functions that each example and harness used to wire up by hand; the
+// real-thread cores (threads/) read the request itself. The
+// differential-oracle registry (check/registry.cpp) and the batched
+// evaluation engine (engine/engine.hpp) are expressed directly on top of
+// it.
 //
 // search() is synchronous. For evaluating many trees concurrently —
 // cross-request load balancing on one shared work-stealing scheduler,
@@ -26,9 +27,8 @@
 
 #include "gtpar/common.hpp"
 #include "gtpar/engine/executor.hpp"
-#include "gtpar/engine/resilience.hpp"
+#include "gtpar/engine/resilience.hpp"  // LeafCostModel, LeafHook
 #include "gtpar/expand/tree_source.hpp"
-#include "gtpar/threads/mt_solve.hpp"  // LeafCostModel
 #include "gtpar/tree/tree.hpp"
 
 namespace gtpar {

@@ -1,8 +1,8 @@
 // gtpar/engine/executor.hpp
 //
-// Execution-context primitives shared by the real-thread search drivers
-// (threads/mt_solve.hpp, threads/mt_ab.hpp) and the batched evaluation
-// engine (engine/engine.hpp):
+// Execution-context primitives shared by the real-thread search cores
+// (reached through search(req, exec), engine/api.hpp) and the batched
+// evaluation engine (engine/engine.hpp):
 //
 //  - Executor: the minimal scheduler interface a driver needs to spawn
 //    scout tasks. The work-stealing pool (engine/work_stealing.hpp)
@@ -10,9 +10,10 @@
 //    engine's cross-request load balancing). InlineExecutor runs every
 //    task on the submitting thread, for drivers that must not spawn.
 //
-//  - SearchLimits: cooperative cancellation and wall-clock budget. Every
-//    real-thread driver polls these on its hot path; lock-step simulators
-//    are atomic single calls and ignore them.
+//  - SearchLimits: cooperative cancellation and wall-clock budget
+//    (SearchRequest::limits). Every real-thread core polls these on its
+//    hot path (threads/cascade.hpp); lock-step simulators are atomic
+//    single calls and ignore them.
 #pragma once
 
 #include <atomic>

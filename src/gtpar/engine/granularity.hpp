@@ -13,7 +13,7 @@
 // default_grain_policy()) and leaf_cost_ns is the workload's simulated
 // evaluation cost. A subtree spawns only when est(v) >= grain_ns.
 //
-// grain_ns comes from SearchRequest::grain / MtSolveOptions::grain_ns:
+// grain_ns comes from SearchRequest::grain:
 //   0  -> auto: GrainPolicy::min_task_ns (default 100 us — roughly 30-100x
 //         the work-stealing pool's per-task overhead, the classic grain
 //         rule of thumb)

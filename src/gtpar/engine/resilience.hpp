@@ -1,7 +1,7 @@
 // gtpar/engine/resilience.hpp
 //
 // The resilience primitives shared by the search façade (engine/api.hpp),
-// the real-thread cores (threads/mt_solve.hpp, threads/mt_ab.hpp), and the
+// the real-thread cores (threads/cascade.hpp, which they share), and the
 // batched Engine: production searchers treat the leaf evaluator as an
 // unreliable dependency, so a transient throw, a latency spike, or an
 // expired budget must degrade the answer instead of discarding it.
@@ -13,9 +13,12 @@
 //    faulted search reports the sharpest bound derivable from the work it
 //    completed (anytime semantics) instead of a meaningless value.
 //  - LeafHook: an injection point called once per leaf-evaluation attempt
-//    by the Mt cores. The fault-injection substrate (check/faults.hpp)
-//    implements it to throw / sleep on a seeded deterministic schedule;
-//    production callers can use it for externalised evaluation.
+//    by the Mt cores (SearchRequest::leaf_hook, retried per
+//    SearchRequest::retry). The fault-injection substrate
+//    (check/faults.hpp) implements it to throw / sleep on a seeded
+//    deterministic schedule; production callers can use it for
+//    externalised evaluation. LeafCostModel, beside it, says how the
+//    cores pay the simulated cost of that evaluation.
 //  - ResilientSource: a recording, retrying TreeSource wrapper. Successful
 //    leaf values are memoised, so after a permanent fault the façade can
 //    re-walk the already-evaluated prefix fault-free and extract bounds.
@@ -77,6 +80,14 @@ class LeafHook {
  public:
   virtual ~LeafHook() = default;
   virtual void on_leaf(NodeId leaf, unsigned attempt) = 0;
+};
+
+/// How the Mt cores pay SearchRequest::leaf_cost_ns per leaf evaluation.
+/// The values are on the wire (net/wire.hpp): spin = 0, sleep = 1.
+enum class LeafCostModel : std::uint8_t {
+  kSpin = 0,   ///< busy-spin: models CPU-bound evaluation (needs real cores)
+  kSleep = 1,  ///< sleep: models latency-bound evaluation (I/O, remote
+               ///< calls); concurrency overlaps the waits even on one core
 };
 
 /// Anytime bound extracted from a partial search.

@@ -43,11 +43,8 @@
 // Section 7 message-passing implementation.
 #include "gtpar/mp/message_passing.hpp"
 
-// Real threads.
-#include "gtpar/threads/mt_ab.hpp"
-#include "gtpar/threads/mt_solve.hpp"
-
-// Unified search façade, work-stealing scheduler, and batched engine.
+// Unified search façade (which also runs the real-thread cascades),
+// work-stealing scheduler, and batched engine.
 #include "gtpar/engine/api.hpp"
 #include "gtpar/engine/engine.hpp"
 #include "gtpar/engine/executor.hpp"

@@ -1,47 +1,19 @@
 #include "gtpar/threads/mt_ab.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <memory>
-#include <thread>
 #include <vector>
 
-#include "gtpar/engine/granularity.hpp"
-#include "gtpar/engine/sharded_counter.hpp"
 #include "gtpar/engine/tt.hpp"
 #include "gtpar/solve/flat_kernels.hpp"
+#include "gtpar/threads/cascade.hpp"
 
 namespace gtpar {
 namespace {
 
-void pay_leaf_cost(std::uint64_t ns, LeafCostModel model) {
-  if (ns == 0) return;
-  if (model == LeafCostModel::kSleep) {
-    std::this_thread::sleep_for(std::chrono::nanoseconds(ns));
-    return;
-  }
-  const auto end = std::chrono::steady_clock::now() + std::chrono::nanoseconds(ns);
-  while (std::chrono::steady_clock::now() < end) {
-  }
-}
-
-struct AbShared {
-  const Tree& t;
-  const MtAbOptions& opt;
-  Executor& exec;
-  SearchLimits limits;
-  /// Paid leaf evaluations. Every worker of the search counts one per
-  /// leaf (the free-leaf batch path adds once per kernel call), so the
-  /// count is sharded per thread (sharded_counter.hpp) and summed once the
-  /// search has finished.
-  ShardedCounters<1> leaf_evals;
-  std::atomic<std::uint64_t> retries{0};
-  std::atomic<std::uint64_t> faults{0};
-  /// Latched stop: set once cancellation, the deadline, or a permanent
-  /// leaf fault is observed.
-  std::atomic<bool> stop_flag{false};
-  std::chrono::steady_clock::time_point deadline{};
+/// Shared alpha-beta state: the cascade's control block plus the exact
+/// memo (or the shared table standing in for it).
+struct AbShared : CascadeControl {
   /// Private exact-value memo, one slot per node: bit 40 marks presence,
   /// the low 32 bits hold the value. Only *exact* minimax values are
   /// stored (a value computed without any cutoff below it), so a hit is
@@ -57,41 +29,19 @@ struct AbShared {
   /// for its keys.
   TranspositionTable* tt;
   std::uint64_t fp = 0;
-  /// Grain cutoff: sibling subtrees with fewer leaves are never scouted.
-  std::uint32_t min_spawn;
   /// Free leaves on a shared table: no leaf hook, no leaf cost. Leaves and
   /// leaf-frontier nodes then cost less to recompute than to probe, so
   /// they bypass the table and the batch kernel reduces the frontiers.
   bool free_leaves;
-  /// Never-set cancel flag for inline flat runs on the spine.
-  std::atomic<bool> never{false};
 
   static constexpr std::int64_t kHasBit = std::int64_t{1} << 40;
 
-  AbShared(const Tree& tree, const MtAbOptions& options, Executor& executor,
-           const SearchLimits& lim)
-      : t(tree), opt(options), exec(executor), limits(lim),
-        memo(options.tt == nullptr ? tree.size() : 0), tt(options.tt),
-        min_spawn(min_spawn_leaves(default_grain_policy(), options.grain_ns,
-                                   options.leaf_cost_ns)),
-        free_leaves(options.tt != nullptr && options.leaf_hook == nullptr &&
-                    options.leaf_cost_ns == 0) {
+  AbShared(const Tree& tree, const SearchRequest& request, Executor& executor)
+      : CascadeControl(tree, request, executor),
+        memo(request.tt == nullptr ? tree.size() : 0), tt(request.tt),
+        free_leaves(request.tt != nullptr && request.leaf_hook == nullptr &&
+                    request.leaf_cost_ns == 0) {
     if (tt != nullptr) fp = tree.fingerprint();
-    if (limits.budget_ns != 0)
-      deadline = std::chrono::steady_clock::now() +
-                 std::chrono::nanoseconds(limits.budget_ns);
-  }
-
-  bool stopped() const { return stop_flag.load(std::memory_order_relaxed); }
-
-  bool poll_stop() {
-    if (stopped()) return true;
-    if ((limits.cancel && limits.cancel->load(std::memory_order_relaxed)) ||
-        (limits.budget_ns != 0 && std::chrono::steady_clock::now() >= deadline)) {
-      stop_flag.store(true, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
   }
 
   bool memo_lookup(NodeId v, Value& out) const {
@@ -111,31 +61,6 @@ struct AbShared {
                   std::memory_order_release);
   }
 
-  /// Run the evaluator hook with the retry budget; false latches a stop
-  /// (permanent fault) and the search degrades to an anytime bound. See
-  /// Shared::run_leaf_hook in mt_solve.cpp.
-  bool run_leaf_hook(NodeId leaf) {
-    const unsigned attempts = std::max(opt.retry.max_attempts, 1u);
-    for (unsigned attempt = 0;; ++attempt) {
-      try {
-        opt.leaf_hook->on_leaf(leaf, attempt);
-        return true;
-      } catch (const std::exception& e) {
-        faults.fetch_add(1, std::memory_order_relaxed);
-        if (attempt + 1 < attempts &&
-            (!opt.retry.retry_on || opt.retry.retry_on(e))) {
-          retries.fetch_add(1, std::memory_order_relaxed);
-          retry_backoff(opt.retry, attempt);
-          continue;
-        }
-      } catch (...) {
-        faults.fetch_add(1, std::memory_order_relaxed);
-      }
-      stop_flag.store(true, std::memory_order_relaxed);
-      return false;
-    }
-  }
-
   /// Evaluate a leaf through the memo. Returns false on stop; `out`
   /// carries the value on success. With the private memo the CAS dedups
   /// the count (distinct leaves); with a shared TT, replacement may evict
@@ -143,9 +68,7 @@ struct AbShared {
   /// cost.
   bool eval_leaf(NodeId leaf, Value& out) {
     if (memo_lookup(leaf, out)) return true;
-    if (poll_stop()) return false;
-    if (opt.leaf_hook != nullptr && !run_leaf_hook(leaf)) return false;
-    pay_leaf_cost(opt.leaf_cost_ns, opt.cost_model);
+    if (!pay_leaf(leaf)) return false;
     const Value v = t.leaf_value(leaf);
     if (tt != nullptr) {
       tt->store(TranspositionTable::node_key(fp, leaf), v, 1);
@@ -160,6 +83,16 @@ struct AbShared {
     }
     out = v;
     return true;
+  }
+
+  /// Anytime recovery: the memo holds only exact subtree values, so
+  /// interval propagation over it gives a sound root bound; if the interval
+  /// collapses, the stopped search still reports the exact value.
+  SearchResult finish(Value value, Clock::time_point start) const {
+    return CascadeControl::finish(value, start, [this] {
+      return anytime_minimax_tree_bounds(
+          t, [this](NodeId n, Value& v) { return memo_lookup(n, v); });
+    });
   }
 };
 
@@ -218,28 +151,12 @@ Value seq_ab(AbShared& sh, NodeId v, Value alpha, Value beta,
   return flat_ab_core(sh.t, v, alpha, beta, dyn, dyn_is_alpha, ctx, exact);
 }
 
-/// Completion latch with queue-steal, as in mt_solve.cpp.
-struct AbScout {
-  std::atomic<bool> cancel{false};
-  std::atomic<int> state{0};  // 0 queued, 1 running, 2 done
+/// A scout's latch plus its fail-soft result, written before the latch's
+/// finish() publishes it.
+struct AbScout : ScoutLatch {
   Value result = 0;
   bool valid = false;  // worker produced a usable fail-soft result
   bool exact = false;  // ... and it is the exact subtree value
-
-  bool claim() {
-    int expected = 0;
-    return state.compare_exchange_strong(expected, 1, std::memory_order_acq_rel);
-  }
-  void finish() { state.store(2, std::memory_order_release); }
-  bool done() const { return state.load(std::memory_order_acquire) == 2; }
-  /// Abort-join; steals the task if it has not started. Returns valid.
-  bool join() {
-    int expected = 0;
-    if (state.compare_exchange_strong(expected, 2, std::memory_order_acq_rel))
-      return false;  // never started
-    while (!done()) std::this_thread::yield();
-    return valid;
-  }
 };
 
 /// Spine search: full live window, one scout per level on the next
@@ -289,31 +206,21 @@ Value pab(AbShared& sh, NodeId v, Value alpha, Value beta, bool& exact) {
 
   auto launch_scout = [&](NodeId sc, Value a0, Value b0) {
     auto scout = std::make_shared<AbScout>();
-    AbShared* shp = &sh;
     std::atomic<Value>* dynp = &dyn;
     const bool dia = maxing;
-    sh.exec.submit([shp, scout, sc, a0, b0, dynp, dia] {
-      if (!scout->claim()) return;
-      try {
-        bool ex = false;
-        const Value r = seq_ab(*shp, sc, a0, b0, dynp, dia, scout->cancel, ex);
-        if (!scout->cancel.load(std::memory_order_relaxed)) {
-          scout->result = r;
-          scout->valid = true;
-          scout->exact = ex;
-        }
-      } catch (...) {
-        // A throwing evaluator must not leave the latch open: the spine's
-        // join() would spin forever and the pool worker would die. The
-        // scout stays invalid; latch a stop so the run degrades cleanly.
-        shp->stop_flag.store(true, std::memory_order_relaxed);
+    submit_scout(sh, scout, [&sh, sc, a0, b0, dynp, dia](AbScout& s) {
+      bool ex = false;
+      const Value r = seq_ab(sh, sc, a0, b0, dynp, dia, s.cancel, ex);
+      if (!s.cancel.load(std::memory_order_relaxed)) {
+        s.result = r;
+        s.valid = true;
+        s.exact = ex;
       }
-      scout->finish();
     });
     return scout;
   };
 
-  const unsigned width = std::max(sh.opt.width, 1u);
+  const unsigned width = std::max(sh.req.width, 1u);
   std::size_t i = 0;
   while (i < children.size()) {
     // No scouts of this level are outstanding here, so stopping is safe;
@@ -337,10 +244,7 @@ Value pab(AbShared& sh, NodeId v, Value alpha, Value beta, bool& exact) {
     const bool have_scout = !scouts.empty();
     const std::shared_ptr<AbScout> scout = have_scout ? scouts[0] : nullptr;
     auto cancel_extra_scouts = [&](std::size_t from) {
-      for (std::size_t j = from; j < scouts.size(); ++j) {
-        scouts[j]->cancel.store(true, std::memory_order_relaxed);
-        scouts[j]->join();
-      }
+      for (std::size_t j = from; j < scouts.size(); ++j) scouts[j]->abort();
     };
 
     bool spine_exact = false;
@@ -355,24 +259,13 @@ Value pab(AbShared& sh, NodeId v, Value alpha, Value beta, bool& exact) {
       // Promotion: if the scout already finished, merge its result; else
       // abort it and re-search the sibling in parallel mode. The memo lets
       // the re-search reuse every subtree the scout completed exactly.
-      bool merged = false;
-      if (scout->done() && scout->valid) {
+      // With promotion off (the ablation) the spine join-waits for the
+      // sequential scout instead.
+      const bool finished = (scout->done() && scout->valid) ||
+                            (sh.req.promotion ? scout->abort() : scout->join());
+      if (finished && scout->valid) {
         merge(scout->result, scout->exact);
-        merged = true;
-      } else if (!sh.opt.promotion) {
-        // Ablation mode: join-wait for the sequential scout.
-        if (scout->join()) {
-          merge(scout->result, scout->exact);
-          merged = true;
-        }
       } else {
-        scout->cancel.store(true, std::memory_order_relaxed);
-        if (scout->join()) {
-          merge(scout->result, scout->exact);
-          merged = true;
-        }
-      }
-      if (!merged) {
         bool sib_exact = false;
         const Value r = pab(sh, children[i + 1], alpha, beta, sib_exact);
         merge(r, sib_exact);
@@ -392,53 +285,25 @@ Value pab(AbShared& sh, NodeId v, Value alpha, Value beta, bool& exact) {
   return best;
 }
 
-MtAbResult finish_result(AbShared& sh, Value v,
-                         std::chrono::steady_clock::time_point start) {
-  const auto end = std::chrono::steady_clock::now();
-  MtAbResult r;
-  r.value = v;
-  r.leaf_evaluations = sh.leaf_evals.sum();
-  r.retries = sh.retries.load();
-  r.faults = sh.faults.load();
-  r.wall_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(end - start).count());
-  if (!sh.stopped()) {
-    r.complete = true;
-    r.completeness = Completeness::kExact;
-    return r;
-  }
-  // Anytime recovery: the memo holds only exact subtree values, so
-  // interval propagation over it gives a sound root bound; if the interval
-  // collapses, the stopped search still reports the exact value.
-  const AnytimeOutcome out = anytime_minimax_tree_bounds(
-      sh.t, [&sh](NodeId n, Value& val) { return sh.memo_lookup(n, val); });
-  r.value = out.value;
-  r.completeness = out.completeness;
-  r.complete = out.completeness == Completeness::kExact;
-  return r;
-}
-
 }  // namespace
 
-MtAbResult mt_parallel_ab(const Tree& t, const MtAbOptions& opt, Executor& exec,
-                          const SearchLimits& limits) {
-  AbShared sh(t, opt, exec, limits);
-  const auto start = std::chrono::steady_clock::now();
+SearchResult mt_parallel_ab(const Tree& t, const SearchRequest& req,
+                            Executor& exec) {
+  AbShared sh(t, req, exec);
+  const auto start = CascadeControl::Clock::now();
   bool exact = false;
   const Value v = pab(sh, t.root(), kMinusInf, kPlusInf, exact);
-  return finish_result(sh, v, start);
+  return sh.finish(v, start);
 }
 
-MtAbResult mt_sequential_ab(const Tree& t, const MtAbOptions& opt,
-                            const SearchLimits& limits) {
+SearchResult mt_sequential_ab(const Tree& t, const SearchRequest& req) {
   InlineExecutor inline_exec;
-  AbShared sh(t, opt, inline_exec, limits);
-  std::atomic<bool> never{false};
-  const auto start = std::chrono::steady_clock::now();
+  AbShared sh(t, req, inline_exec);
+  const auto start = CascadeControl::Clock::now();
   bool exact = false;
-  const Value v =
-      seq_ab(sh, t.root(), kMinusInf, kPlusInf, nullptr, true, never, exact);
-  return finish_result(sh, v, start);
+  const Value v = seq_ab(sh, t.root(), kMinusInf, kPlusInf, nullptr, true,
+                         sh.never, exact);
+  return sh.finish(v, start);
 }
 
 }  // namespace gtpar

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "anytime_checks.hpp"
 #include "gtpar/engine/api.hpp"
 #include "gtpar/engine/engine.hpp"
 #include "gtpar/engine/tt.hpp"
@@ -264,17 +265,6 @@ TEST(EngineTT, FreeLeavesNeverTouchTheTable) {
         << "seed " << seed << ": " << s.probes << " probes, " << s.stores
         << " stores over " << t.num_leaves() << " leaves";
   }
-}
-
-/// True unless `r` claims a value or one-sided bound that excludes `truth`.
-bool admits(const SearchResult& r, Value truth) {
-  switch (r.completeness) {
-    case Completeness::kExact: return r.value == truth;
-    case Completeness::kLowerBound: return r.value <= truth;
-    case Completeness::kUpperBound: return r.value >= truth;
-    case Completeness::kFailed: return true;
-  }
-  return false;
 }
 
 TEST(EngineTT, FreeLeafBatchPathObservesCancelAndDeadline) {

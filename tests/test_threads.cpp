@@ -1,24 +1,37 @@
 // Real-thread implementations: the work-stealing pool's task lifecycle,
-// and the Mt cascades run on a test-owned pool — correctness under
+// and the Mt cascades run through search(req, pool) on a test-owned
+// pool — correctness under
 // concurrency (stress over many seeds and shapes), cancellation/promotion
 // behaviour, and sanity of the work accounting. Wall-clock speed-ups are
 // measured in bench E10.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <tuple>
 
+#include "anytime_checks.hpp"
+#include "gtpar/engine/api.hpp"
 #include "gtpar/engine/work_stealing.hpp"
 #include "gtpar/solve/sequential_solve.hpp"
-#include "gtpar/threads/mt_ab.hpp"
-#include "gtpar/threads/mt_solve.hpp"
 #include "gtpar/tree/generators.hpp"
 #include "gtpar/tree/values.hpp"
 
 namespace gtpar {
 namespace {
+
+/// A request for one of the Mt cascades with free leaves; tests set the
+/// tree and the knobs they exercise.
+SearchRequest mt_request(Algorithm algorithm, const Tree* tree = nullptr) {
+  SearchRequest req;
+  req.algorithm = algorithm;
+  req.tree = tree;
+  req.leaf_cost_ns = 0;
+  return req;
+}
 
 TEST(WorkStealingPool, AtLeastOneWorker) {
   std::atomic<int> count{0};
@@ -73,32 +86,32 @@ TEST(MtSolve, ZeroCostContentionStorm) {
   // leaf_cost_ns = 0 with many threads and a wide frontier maximizes
   // claim/steal contention; every repeat must agree with ground truth.
   WorkStealingPool pool(8);
-  MtSolveOptions opt;
-  opt.leaf_cost_ns = 0;
-  opt.width = 3;
-  opt.grain_ns = 1;  // always spawn: this test exists to stress the scheduler
+  SearchRequest req = mt_request(Algorithm::kMtParallelSolve);
+  req.width = 3;
+  req.grain = 1;  // always spawn: this test exists to stress the scheduler
   for (std::uint64_t seed = 100; seed < 115; ++seed) {
     const Tree t = make_uniform_iid_nor(3, 6, 0.618, seed);
+    req.tree = &t;
     const bool truth = nor_value(t);
     for (int rep = 0; rep < 10; ++rep)
-      ASSERT_EQ(mt_parallel_solve(t, opt, pool).value, truth)
+      ASSERT_EQ(search(req, pool).value != 0, truth)
           << "seed " << seed << " rep " << rep;
   }
 }
 
 TEST(MtAb, ZeroCostContentionStormWithAndWithoutPromotion) {
   WorkStealingPool pool(8);
-  MtAbOptions opt;
-  opt.leaf_cost_ns = 0;
-  opt.width = 3;
-  opt.grain_ns = 1;  // always spawn: this test exists to stress the scheduler
+  SearchRequest req = mt_request(Algorithm::kMtParallelAb);
+  req.width = 3;
+  req.grain = 1;  // always spawn: this test exists to stress the scheduler
   for (std::uint64_t seed = 100; seed < 110; ++seed) {
     const Tree t = make_uniform_iid_minimax(3, 5, -5, 5, seed);
+    req.tree = &t;
     const Value truth = minimax_value(t);
     for (const bool promo : {true, false}) {
-      opt.promotion = promo;
+      req.promotion = promo;
       for (int rep = 0; rep < 10; ++rep)
-        ASSERT_EQ(mt_parallel_ab(t, opt, pool).value, truth)
+        ASSERT_EQ(search(req, pool).value, truth)
             << "seed " << seed << " promotion " << promo << " rep " << rep;
     }
   }
@@ -112,13 +125,13 @@ TEST_P(MtSolveSweep, ValueMatchesGroundTruth) {
   const Tree t = make_uniform_iid_nor(d, n, 0.618, seed);
   const bool truth = nor_value(t);
   WorkStealingPool pool(threads);
-  MtSolveOptions opt;
-  opt.leaf_cost_ns = 0;  // stress scheduling, not the spin
-  opt.grain_ns = 1;      // always spawn (auto grain would run these inline)
-  const auto r = mt_parallel_solve(t, opt, pool);
-  EXPECT_EQ(r.value, truth);
-  EXPECT_LE(r.leaf_evaluations, t.num_leaves());
-  EXPECT_GT(r.leaf_evaluations, 0u);
+  // Zero leaf cost stresses scheduling, not the spin.
+  SearchRequest req = mt_request(Algorithm::kMtParallelSolve, &t);
+  req.grain = 1;  // always spawn (auto grain would run these inline)
+  const auto r = search(req, pool);
+  EXPECT_EQ(r.value != 0, truth);
+  EXPECT_LE(r.work, t.num_leaves());
+  EXPECT_GT(r.work, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, MtSolveSweep,
@@ -132,22 +145,19 @@ TEST(MtSolve, RepeatedRunsAreStable) {
   const Tree t = make_uniform_iid_nor(2, 10, 0.618, 42);
   const bool truth = nor_value(t);
   WorkStealingPool pool(8);
-  MtSolveOptions opt;
-  opt.leaf_cost_ns = 0;
-  opt.grain_ns = 1;  // always spawn: races only exist with real scouts
+  SearchRequest req = mt_request(Algorithm::kMtParallelSolve, &t);
+  req.grain = 1;  // always spawn: races only exist with real scouts
   for (int i = 0; i < 50; ++i) {
-    ASSERT_EQ(mt_parallel_solve(t, opt, pool).value, truth) << "iteration " << i;
+    ASSERT_EQ(search(req, pool).value != 0, truth) << "iteration " << i;
   }
 }
 
 TEST(MtSolve, WorstCaseInstance) {
   const Tree t = make_worst_case_nor(2, 10, false);
   WorkStealingPool pool(8);
-  MtSolveOptions opt;
-  opt.leaf_cost_ns = 0;
-  const auto r = mt_parallel_solve(t, opt, pool);
-  EXPECT_EQ(r.value, false);
-  EXPECT_EQ(r.leaf_evaluations, t.num_leaves())
+  const auto r = search(mt_request(Algorithm::kMtParallelSolve, &t), pool);
+  EXPECT_EQ(r.value, 0);
+  EXPECT_EQ(r.work, t.num_leaves())
       << "the adversarial instance forces every leaf";
 }
 
@@ -155,35 +165,33 @@ TEST(MtSolve, WorkStaysWithinConstantFactorOfSequential) {
   // Corollary 1 in the real-thread setting: total distinct leaves evaluated
   // by the parallel run is at most a small multiple of S(T).
   WorkStealingPool pool(8);
-  MtSolveOptions opt;
-  opt.leaf_cost_ns = 0;
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
     const Tree t = make_uniform_iid_nor(2, 12, 0.618, seed);
     const std::uint64_t s = sequential_solve_work(t);
-    const auto r = mt_parallel_solve(t, opt, pool);
-    EXPECT_LE(r.leaf_evaluations, 4 * s + 16) << "seed " << seed;
+    const auto r = search(mt_request(Algorithm::kMtParallelSolve, &t), pool);
+    EXPECT_LE(r.work, 4 * s + 16) << "seed " << seed;
   }
 }
 
 TEST(MtSolve, SequentialBaselineMatchesModelWork) {
   const Tree t = make_uniform_iid_nor(2, 10, 0.618, 9);
-  const auto r = mt_sequential_solve(t, {.leaf_cost_ns = 0});
-  EXPECT_EQ(r.value, nor_value(t));
-  EXPECT_EQ(r.leaf_evaluations, sequential_solve_work(t));
+  const auto r = search(mt_request(Algorithm::kMtSequentialSolve, &t));
+  EXPECT_EQ(r.value != 0, nor_value(t));
+  EXPECT_EQ(r.work, sequential_solve_work(t));
 }
 
 TEST(MtSolve, HigherWidthsStayCorrect) {
   WorkStealingPool pool(8);
-  MtSolveOptions opt;
-  opt.leaf_cost_ns = 0;
+  SearchRequest req = mt_request(Algorithm::kMtParallelSolve);
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     const Tree t = make_uniform_iid_nor(3, 7, 0.5, seed);
+    req.tree = &t;
     const bool truth = nor_value(t);
     for (unsigned w : {2u, 3u}) {
-      opt.width = w;
-      const auto r = mt_parallel_solve(t, opt, pool);
-      EXPECT_EQ(r.value, truth) << "seed=" << seed << " width=" << w;
-      EXPECT_LE(r.leaf_evaluations, t.num_leaves());
+      req.width = w;
+      const auto r = search(req, pool);
+      EXPECT_EQ(r.value != 0, truth) << "seed=" << seed << " width=" << w;
+      EXPECT_LE(r.work, t.num_leaves());
     }
   }
 }
@@ -195,11 +203,11 @@ TEST(MtSolve, RaggedTrees) {
   p.n_min = 4;
   p.n_max = 8;
   WorkStealingPool pool(8);
-  MtSolveOptions opt;
-  opt.leaf_cost_ns = 0;
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     const Tree t = make_random_shape_nor(p, 0.55, seed);
-    EXPECT_EQ(mt_parallel_solve(t, opt, pool).value, nor_value(t)) << "seed " << seed;
+    EXPECT_EQ(search(mt_request(Algorithm::kMtParallelSolve, &t), pool).value != 0,
+              nor_value(t))
+        << "seed " << seed;
   }
 }
 
@@ -209,10 +217,9 @@ TEST_P(MtAbSweep, ValueMatchesGroundTruth) {
   const auto [d, n, threads, seed] = GetParam();
   const Tree t = make_uniform_iid_minimax(d, n, -1000, 1000, seed);
   WorkStealingPool pool(threads);
-  MtAbOptions opt;
-  opt.leaf_cost_ns = 0;
-  opt.grain_ns = 1;  // always spawn (auto grain would run these inline)
-  const auto r = mt_parallel_ab(t, opt, pool);
+  SearchRequest req = mt_request(Algorithm::kMtParallelAb, &t);
+  req.grain = 1;  // always spawn (auto grain would run these inline)
+  const auto r = search(req, pool);
   EXPECT_EQ(r.value, minimax_value(t));
 }
 
@@ -225,14 +232,14 @@ INSTANTIATE_TEST_SUITE_P(Grid, MtAbSweep,
 TEST(MtAb, TiesHeavyStress) {
   // Narrow value ranges maximize dead-window joins; rerun for stability.
   WorkStealingPool pool(8);
-  MtAbOptions opt;
-  opt.leaf_cost_ns = 0;
-  opt.grain_ns = 1;  // always spawn: dead-window joins need real scouts
+  SearchRequest req = mt_request(Algorithm::kMtParallelAb);
+  req.grain = 1;  // always spawn: dead-window joins need real scouts
   for (std::uint64_t seed = 0; seed < 30; ++seed) {
     const Tree t = make_uniform_iid_minimax(2, 8, 0, 2, seed);
+    req.tree = &t;
     const Value truth = minimax_value(t);
     for (int rep = 0; rep < 5; ++rep)
-      ASSERT_EQ(mt_parallel_ab(t, opt, pool).value, truth)
+      ASSERT_EQ(search(req, pool).value, truth)
           << "seed " << seed << " rep " << rep;
   }
 }
@@ -242,19 +249,19 @@ TEST(MtAb, WorstCaseInstance) {
   // evaluated, and the private memo's CAS counts each exactly once however
   // the scouts race: the parallel count must equal the leaf count.
   WorkStealingPool pool(8);
-  MtAbOptions opt;
-  opt.leaf_cost_ns = 0;
-  opt.grain_ns = 1;  // always spawn: the count is only contended with scouts
+  SearchRequest req = mt_request(Algorithm::kMtParallelAb);
+  req.grain = 1;  // always spawn: the count is only contended with scouts
   for (unsigned d : {2u, 3u}) {
     for (unsigned n : {6u, 8u}) {
       const Tree t = make_worst_case_minimax(d, n);
+      req.tree = &t;
       const Value truth = minimax_value(t);
       for (unsigned w : {1u, 2u, 3u}) {
-        opt.width = w;
+        req.width = w;
         for (int rep = 0; rep < 5; ++rep) {
-          const auto r = mt_parallel_ab(t, opt, pool);
+          const auto r = search(req, pool);
           ASSERT_EQ(r.value, truth) << "d=" << d << " n=" << n << " w=" << w;
-          ASSERT_EQ(r.leaf_evaluations, t.num_leaves())
+          ASSERT_EQ(r.work, t.num_leaves())
               << "d=" << d << " n=" << n << " w=" << w << " rep " << rep;
         }
       }
@@ -264,55 +271,56 @@ TEST(MtAb, WorstCaseInstance) {
 
 TEST(MtAb, HigherWidthsStayCorrect) {
   WorkStealingPool pool(8);
-  MtAbOptions opt;
-  opt.leaf_cost_ns = 0;
+  SearchRequest req = mt_request(Algorithm::kMtParallelAb);
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     const Tree t = make_uniform_iid_minimax(3, 6, -100, 100, seed);
+    req.tree = &t;
     const Value truth = minimax_value(t);
     for (unsigned w : {2u, 3u}) {
-      opt.width = w;
-      EXPECT_EQ(mt_parallel_ab(t, opt, pool).value, truth) << "seed=" << seed << " w=" << w;
+      req.width = w;
+      EXPECT_EQ(search(req, pool).value, truth) << "seed=" << seed << " w=" << w;
     }
   }
 }
 
 TEST(MtAb, NoPromotionStaysCorrect) {
   WorkStealingPool pool(8);
-  MtAbOptions opt;
-  opt.leaf_cost_ns = 0;
-  opt.promotion = false;
+  SearchRequest req = mt_request(Algorithm::kMtParallelAb);
+  req.promotion = false;
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     const Tree t = make_uniform_iid_minimax(2, 8, 0, 3, seed);
-    EXPECT_EQ(mt_parallel_ab(t, opt, pool).value, minimax_value(t)) << "seed " << seed;
+    req.tree = &t;
+    EXPECT_EQ(search(req, pool).value, minimax_value(t)) << "seed " << seed;
   }
 }
 
 TEST(MtAb, SequentialBaselineMatchesClassic) {
   const Tree t = make_uniform_iid_minimax(2, 8, 0, 1 << 16, 3);
-  const auto r = mt_sequential_ab(t, {.leaf_cost_ns = 0});
+  const auto r = search(mt_request(Algorithm::kMtSequentialAb, &t));
   EXPECT_EQ(r.value, minimax_value(t));
 }
 
 TEST(MtAb, OrderedInstances) {
   WorkStealingPool pool(8);
-  MtAbOptions opt;
-  opt.leaf_cost_ns = 0;
+  SearchRequest req = mt_request(Algorithm::kMtParallelAb);
   for (unsigned n = 2; n <= 8; ++n) {
     const Tree best = make_best_case_minimax(2, n);
-    EXPECT_EQ(mt_parallel_ab(best, opt, pool).value, minimax_value(best)) << "n=" << n;
+    req.tree = &best;
+    EXPECT_EQ(search(req, pool).value, minimax_value(best)) << "n=" << n;
     const Tree worst = make_worst_case_minimax(2, n);
-    EXPECT_EQ(mt_parallel_ab(worst, opt, pool).value, minimax_value(worst)) << "n=" << n;
+    req.tree = &worst;
+    EXPECT_EQ(search(req, pool).value, minimax_value(worst)) << "n=" << n;
   }
 }
 
 TEST(MtAb, RaggedTrees) {
   RandomShapeParams p;
   WorkStealingPool pool(8);
-  MtAbOptions opt;
-  opt.leaf_cost_ns = 0;
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     const Tree t = make_random_shape_minimax(p, -50, 50, seed);
-    EXPECT_EQ(mt_parallel_ab(t, opt, pool).value, minimax_value(t)) << "seed " << seed;
+    EXPECT_EQ(search(mt_request(Algorithm::kMtParallelAb, &t), pool).value,
+              minimax_value(t))
+        << "seed " << seed;
   }
 }
 
@@ -339,11 +347,10 @@ TEST(Resilience, PoolSurvivesThrowingScoutAndStaysUsable) {
   // First search: every leaf evaluation throws; the search must return
   // (degraded, not hung) instead of unwinding through the cascade.
   AlwaysThrowHook hook;
-  MtSolveOptions bad;
-  bad.leaf_cost_ns = 0;
+  SearchRequest bad = mt_request(Algorithm::kMtParallelSolve, &t);
   bad.width = 2;
   bad.leaf_hook = &hook;
-  const auto failed = mt_parallel_solve(t, bad, pool, {});
+  const auto failed = search(bad, pool);
   EXPECT_FALSE(failed.complete);
   EXPECT_NE(failed.completeness, Completeness::kExact);
   EXPECT_GT(failed.faults, 0u);
@@ -351,18 +358,15 @@ TEST(Resilience, PoolSurvivesThrowingScoutAndStaysUsable) {
 
   // Same pool, clean searches: every worker must still be alive and the
   // results exact. Run both cascade families to touch all task shapes.
-  MtSolveOptions good;
-  good.leaf_cost_ns = 0;
+  SearchRequest good = mt_request(Algorithm::kMtParallelSolve, &t);
   good.width = 2;
   for (int round = 0; round < 5; ++round) {
-    const auto r = mt_parallel_solve(t, good, pool, {});
+    const auto r = search(good, pool);
     EXPECT_TRUE(r.complete);
-    EXPECT_EQ(r.value, nor_value(t)) << "round " << round;
+    EXPECT_EQ(r.value != 0, nor_value(t)) << "round " << round;
   }
   const Tree m = make_uniform_iid_minimax(2, 6, -9, 9, 17);
-  MtAbOptions mab;
-  mab.leaf_cost_ns = 0;
-  const auto ra = mt_parallel_ab(m, mab, pool, {});
+  const auto ra = search(mt_request(Algorithm::kMtParallelAb, &m), pool);
   EXPECT_TRUE(ra.complete);
   EXPECT_EQ(ra.value, minimax_value(m));
 }
@@ -393,11 +397,10 @@ TEST(Resilience, TransientLeafFaultsAreRetriedToExactness) {
   const Tree t = make_uniform_iid_nor(2, 7, 0.618, 29);
   FailOnceHook hook;
   WorkStealingPool pool(4);
-  MtSolveOptions opt;
-  opt.leaf_cost_ns = 0;
-  opt.leaf_hook = &hook;
-  opt.retry.max_attempts = 2;
-  const auto r = mt_parallel_solve(t, opt, pool, {});
+  SearchRequest req = mt_request(Algorithm::kMtParallelSolve, &t);
+  req.leaf_hook = &hook;
+  req.retry.max_attempts = 2;
+  const auto r = search(req, pool);
   EXPECT_TRUE(r.complete);
   EXPECT_EQ(r.completeness, Completeness::kExact);
   EXPECT_EQ(r.value != 0, nor_value(t));
@@ -405,15 +408,92 @@ TEST(Resilience, TransientLeafFaultsAreRetriedToExactness) {
   EXPECT_EQ(r.retries, r.faults);  // every fault was recovered
 
   const Tree m = make_uniform_iid_minimax(2, 6, -9, 9, 29);
-  MtAbOptions mopt;
-  mopt.leaf_cost_ns = 0;
-  mopt.leaf_hook = &hook;
-  mopt.retry.max_attempts = 2;
-  const auto ra = mt_parallel_ab(m, mopt, pool, {});
+  SearchRequest mreq = mt_request(Algorithm::kMtParallelAb, &m);
+  mreq.leaf_hook = &hook;
+  mreq.retry.max_attempts = 2;
+  const auto ra = search(mreq, pool);
   EXPECT_TRUE(ra.complete);
   EXPECT_EQ(ra.value, minimax_value(m));
   EXPECT_GT(ra.retries, 0u);
 }
+
+
+// ---------------------------------------------------------------------------
+// One stop path for every Mt cascade: a pre-set cancellation, an expired
+// budget and a permanently faulting leaf hook all latch the same stop on
+// the per-leaf path (threads/cascade.hpp), and every cascade degrades to
+// an anytime bound that admits the true value.
+// ---------------------------------------------------------------------------
+
+enum class StopCause { kCancel, kBudget, kHookFault };
+
+using StopParams = std::tuple<Algorithm, StopCause>;
+class MtStop : public ::testing::TestWithParam<StopParams> {};
+
+TEST_P(MtStop, PerLeafPathStopsWithAnAdmissibleBound) {
+  const auto [algorithm, cause] = GetParam();
+  const bool minimax = is_minimax_algorithm(algorithm);
+  const bool parallel = algorithm == Algorithm::kMtParallelSolve ||
+                        algorithm == Algorithm::kMtParallelAb;
+  WorkStealingPool pool(4);
+  const std::atomic<bool> cancelled{true};
+  AlwaysThrowHook hook;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const Tree t = minimax ? make_uniform_iid_minimax(2, 8, -50, 50, seed)
+                           : make_uniform_iid_nor(2, 8, 0.618, seed);
+    const Value truth = minimax ? minimax_value(t) : Value{nor_value(t)};
+    // A leaf cost and no table keep every leaf on the per-leaf path, with
+    // the request's private memo.
+    SearchRequest req = mt_request(algorithm, &t);
+    req.leaf_cost_ns = 1;
+    if (parallel) req.grain = 1;  // always spawn: scouts race the stop
+    switch (cause) {
+      case StopCause::kCancel: req.limits.cancel = &cancelled; break;
+      case StopCause::kBudget: req.limits.budget_ns = 1; break;
+      case StopCause::kHookFault:
+        req.leaf_hook = &hook;
+        req.retry.max_attempts = 2;
+        break;
+    }
+    const auto r = search(req, pool);
+    EXPECT_FALSE(r.complete) << "seed " << seed;
+    EXPECT_TRUE(admits(r, truth))
+        << "seed " << seed << ": " << completeness_name(r.completeness) << " "
+        << r.value << " vs true " << truth;
+    EXPECT_LT(r.work, t.num_leaves()) << "seed " << seed;
+    if (cause != StopCause::kHookFault) continue;
+    if (parallel) {
+      // Every thread that entered the hook before the stop latched spent
+      // its whole two-attempt budget: one retry and two faults each.
+      EXPECT_EQ(r.faults, 2 * r.retries) << "seed " << seed;
+      EXPECT_GE(r.faults, 2u) << "seed " << seed;
+    } else {
+      EXPECT_EQ(r.faults, 2u) << "seed " << seed;
+      EXPECT_EQ(r.retries, 1u) << "seed " << seed;
+    }
+  }
+}
+
+std::string stop_param_name(const ::testing::TestParamInfo<StopParams>& info) {
+  std::string name = algorithm_name(std::get<0>(info.param));
+  std::replace(name.begin(), name.end(), '-', '_');
+  switch (std::get<1>(info.param)) {
+    case StopCause::kCancel: return name + "_cancel";
+    case StopCause::kBudget: return name + "_budget";
+    case StopCause::kHookFault: return name + "_hook_fault";
+  }
+  return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllCascades, MtStop,
+    ::testing::Combine(::testing::Values(Algorithm::kMtSequentialSolve,
+                                         Algorithm::kMtParallelSolve,
+                                         Algorithm::kMtSequentialAb,
+                                         Algorithm::kMtParallelAb),
+                       ::testing::Values(StopCause::kCancel, StopCause::kBudget,
+                                         StopCause::kHookFault)),
+    stop_param_name);
 
 }  // namespace
 }  // namespace gtpar
